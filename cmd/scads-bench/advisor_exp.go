@@ -7,6 +7,7 @@ import (
 	"scads"
 	"scads/internal/advisor"
 	"scads/internal/analyzer"
+	"scads/internal/expgrid"
 )
 
 // runE9 regenerates the §2.2/§3.3.1 guidance flow: the developer
@@ -15,7 +16,10 @@ import (
 // storage, cluster sizing with a monthly bill, and the expected
 // downtime-vs-cost curve — including the rejection reasons for
 // templates that are not scale-independent.
-func runE9() {
+//
+// The advisor is a deterministic model, so its sizing is gated
+// exactly; the Twitter-shaped followersOf template must be rejected.
+func runE9(expgrid.Params) (expgrid.Metrics, error) {
 	ddl := `
 ENTITY profiles (
     id string PRIMARY KEY,
@@ -82,4 +86,19 @@ WHERE f.followee = ?user LIMIT 100
 		}
 	}
 	fmt.Println()
+	m := expgrid.Metrics{
+		"servers":                    float64(rep.Cluster.Servers),
+		"total_nodes":                float64(rep.Cluster.TotalNodes),
+		"write_amplification":        rep.Cluster.WriteAmplification,
+		"storage_gib":                float64(rep.Cluster.StorageBytes) / (1 << 30),
+		"monthly_usd":                rep.Cluster.MonthlyTotalUSD,
+		"rf2_downtime_min_per_month": rep.Curve[1].DowntimeMinutesPerMonth,
+		"followers_of_rejected":      0,
+	}
+	for _, q := range rep.Queries {
+		if q.Query == "followersOf" && !q.Accepted {
+			m["followers_of_rejected"] = 1
+		}
+	}
+	return m, nil
 }

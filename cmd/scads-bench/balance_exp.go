@@ -2,9 +2,11 @@ package main
 
 import (
 	"fmt"
+	"sort"
 
 	"scads"
 	"scads/internal/balancer"
+	"scads/internal/expgrid"
 	"scads/internal/planner"
 )
 
@@ -14,21 +16,14 @@ import (
 // social workload concentrates on one primary; successive rebalance
 // rounds split the hot range at the tracker's median observed key and
 // move ranges until primaries spread across the cluster.
-func runE11() {
-	lc, err := scads.NewLocalCluster(4, scads.Config{})
-	must(err)
+//
+// The no-split ablation (reported, not printed) reruns the hotspot
+// with splitting disabled: moves alone cannot spread one range's
+// load, which is what justifies the split step.
+func runE11(expgrid.Params) (expgrid.Metrics, error) {
+	lc := e11Cluster()
 	defer lc.Close()
-	must(lc.DefineSchema(socialDDL))
 
-	for i := 0; i < 200; i++ {
-		must(lc.Insert("users", scads.Row{
-			"id":       fmt.Sprintf("user%04d", i),
-			"name":     fmt.Sprintf("User %d", i),
-			"birthday": i%365 + 1,
-		}))
-	}
-
-	ns := planner.TableNamespace("users")
 	skew := func() {
 		// 80% of traffic on 10% of the keyspace.
 		for i := 0; i < 400; i++ {
@@ -38,18 +33,11 @@ func runE11() {
 			lc.Get("users", scads.Row{"id": fmt.Sprintf("user%04d", i%200)})
 		}
 	}
-	layout := func() (ranges int, primaries map[string]int) {
-		m, _ := lc.Router().Map(ns)
-		primaries = map[string]int{}
-		for _, rng := range m.Ranges() {
-			primaries[rng.Replicas[0]]++
-		}
-		return m.Len(), primaries
-	}
 
 	fmt.Printf("%-8s %8s %10s %8s %8s\n", "round", "ranges", "primaries", "splits", "moves")
-	r0, p0 := layout()
+	r0, p0 := e11Layout(lc)
 	fmt.Printf("%-8s %8d %10d %8s %8s\n", "start", r0, len(p0), "-", "-")
+	totalSplits, totalMoves, actions := 0, 0, 0
 	for round := 1; round <= 3; round++ {
 		skew()
 		plan, err := lc.Rebalance(scads.BalanceConfig{})
@@ -63,16 +51,77 @@ func runE11() {
 				moves++
 			}
 		}
-		r, p := layout()
+		totalSplits += splits
+		totalMoves += moves
+		actions += len(plan)
+		r, p := e11Layout(lc)
 		fmt.Printf("round-%d  %8d %10d %8d %8d\n", round, r, len(p), splits, moves)
 	}
 
-	_, p := layout()
+	ranges, p := e11Layout(lc)
+	nodes := make([]string, 0, len(p))
+	for node := range p {
+		nodes = append(nodes, node)
+	}
+	sort.Strings(nodes)
 	fmt.Println("\nprimary ranges per node after rebalancing:")
-	for node, n := range p {
-		fmt.Printf("  %-10s %d\n", node, n)
+	for _, node := range nodes {
+		fmt.Printf("  %-10s %d\n", node, p[node])
 	}
 	fmt.Println("\nthe hot range is split at the tracker's median observed key, then")
 	fmt.Println("whole ranges move until no node exceeds 1.5x the mean load — all 200")
 	fmt.Println("rows stay readable throughout (verified by the test suite).")
+
+	noSplitRanges, noSplitPrimaries := e11NoSplitAblation()
+	return expgrid.Metrics{
+		"final_ranges":          float64(ranges),
+		"primary_nodes":         float64(len(p)),
+		"splits":                float64(totalSplits),
+		"moves":                 float64(totalMoves),
+		"plan_actions":          float64(actions),
+		"nosplit_final_ranges":  float64(noSplitRanges),
+		"nosplit_primary_nodes": float64(noSplitPrimaries),
+	}, nil
+}
+
+// e11Cluster is a 4-node cluster holding 200 users in one range.
+func e11Cluster() *scads.LocalCluster {
+	lc, err := scads.NewLocalCluster(4, scads.Config{})
+	must(err)
+	must(lc.DefineSchema(socialDDL))
+	for i := 0; i < 200; i++ {
+		must(lc.Insert("users", scads.Row{
+			"id":       fmt.Sprintf("user%04d", i),
+			"name":     fmt.Sprintf("User %d", i),
+			"birthday": i%365 + 1,
+		}))
+	}
+	return lc
+}
+
+// e11Layout returns the users table's range count and primary ranges
+// per node.
+func e11Layout(lc *scads.LocalCluster) (ranges int, primaries map[string]int) {
+	m, _ := lc.Router().Map(planner.TableNamespace("users"))
+	primaries = map[string]int{}
+	for _, rng := range m.Ranges() {
+		primaries[rng.Replicas[0]]++
+	}
+	return m.Len(), primaries
+}
+
+// e11NoSplitAblation drives a single-range hotspot through three
+// rebalance rounds with splitting disabled.
+func e11NoSplitAblation() (ranges, primaryNodes int) {
+	lc := e11Cluster()
+	defer lc.Close()
+	for round := 0; round < 3; round++ {
+		for k := 0; k < 400; k++ {
+			lc.Get("users", scads.Row{"id": fmt.Sprintf("user%04d", k%20)})
+		}
+		_, err := lc.Rebalance(scads.BalanceConfig{SplitFraction: 1e9})
+		must(err)
+	}
+	ranges, p := e11Layout(lc)
+	return ranges, len(p)
 }

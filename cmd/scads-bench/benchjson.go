@@ -31,52 +31,22 @@ type BenchMetric struct {
 	Tolerance float64 `json:"tolerance,omitempty"`
 }
 
-// BenchSummary is the machine-readable result of one experiment (or
-// one grid row), written as BENCH_<exp>.json next to the
-// human-readable series. Repeats records how many independent repeats
-// the grouped metrics aggregate (0/absent = a single legacy run).
+// BenchSummary is the machine-readable result of one grid row, written
+// as BENCH_<row>.json next to the human-readable series. Repeats
+// records how many independent repeats the grouped metrics aggregate.
 type BenchSummary struct {
 	Experiment string                 `json:"experiment"`
 	Repeats    int                    `json:"repeats,omitempty"`
 	Metrics    map[string]BenchMetric `json:"metrics"`
 }
 
-// benchJSONDir receives BENCH_<exp>.json summaries when the
-// -bench-json flag is set; empty disables emission.
-var benchJSONDir string
-
-// writeBenchSummary persists an experiment's gated metric values. Run
-// summaries carry values only — direction and tolerance live solely
-// in the committed baselines, so refreshing a baseline from a run
-// file can never silently loosen the policy. A write failure is
-// fatal: a CI run that silently skips the summary would also silently
-// skip the regression gate.
-func writeBenchSummary(exp string, values map[string]float64) {
-	if benchJSONDir == "" {
-		return
-	}
-	if err := os.MkdirAll(benchJSONDir, 0o755); err != nil {
-		log.Fatalf("scads-bench: %v", err)
-	}
-	metrics := make(map[string]BenchMetric, len(values))
-	for name, v := range values {
-		metrics[name] = BenchMetric{Value: v}
-	}
-	b, err := json.MarshalIndent(BenchSummary{Experiment: exp, Metrics: metrics}, "", "  ")
-	if err != nil {
-		log.Fatalf("scads-bench: %v", err)
-	}
-	path := filepath.Join(benchJSONDir, "BENCH_"+exp+".json")
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		log.Fatalf("scads-bench: %v", err)
-	}
-	log.Printf("%s: wrote %s", exp, path)
-}
-
 // writeGroupedBenchSummary persists a grid row's aggregated metrics
 // as BENCH_<row>.json: mean as the gated value, std and the repeat
-// count alongside. Like writeBenchSummary, run files never carry
-// direction/tolerance — policy lives only in committed baselines.
+// count alongside. Run files never carry direction/tolerance — policy
+// lives only in the committed baselines, so refreshing a baseline from
+// a run file can never silently loosen it. A write failure is fatal: a
+// CI run that silently skips the summary would also silently skip the
+// regression gate.
 func writeGroupedBenchSummary(dir string, row expgrid.RowResult) {
 	metrics := make(map[string]BenchMetric, len(row.Grouped))
 	for name, a := range row.Grouped {

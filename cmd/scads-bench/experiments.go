@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"log"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"scads/internal/clock"
 	"scads/internal/cloudsim"
 	"scads/internal/consistency"
+	"scads/internal/expgrid"
 	"scads/internal/planner"
 	"scads/internal/query"
 	"scads/internal/record"
@@ -54,7 +57,7 @@ WHERE f.f1 = ?user ORDER BY p.birthday LIMIT 50
 
 // --- E1: Figure 1 ---
 
-func runE1() {
+func runE1(expgrid.Params) (expgrid.Metrics, error) {
 	svc := paperService()
 	trace := workload.AnimotoTrace(t0, svc.CapacityPerServer)
 	res := sim.Run(sim.Config{
@@ -83,11 +86,18 @@ func runE1() {
 	fmt.Printf("measured:         %d servers -> %d servers (peak %d), SLA violations %.2f%%, %.0f machine-hours\n",
 		res.Ticks[0].Running, res.FinalServers, res.PeakServers,
 		100*res.ViolationRate(), res.MachineHours)
+	return expgrid.Metrics{
+		"initial_servers":   float64(res.Ticks[0].Running),
+		"peak_servers":      float64(res.PeakServers),
+		"final_servers":     float64(res.FinalServers),
+		"sla_violation_pct": 100 * res.ViolationRate(),
+		"machine_hours":     res.MachineHours,
+	}, nil
 }
 
 // --- E2: Figure 2 ---
 
-func runE2() {
+func runE2(expgrid.Params) (expgrid.Metrics, error) {
 	svc := paperService()
 	stepAt := t0.Add(2 * time.Hour)
 	trace := workload.Spike{
@@ -124,11 +134,29 @@ func runE2() {
 	fmt.Println("\nthe model-driven loop provisions at the forecast horizon (boot delay +")
 	fmt.Println("2 ticks), so it absorbs the step with fewer violated intervals and")
 	fmt.Println("recovers sooner than the reactive threshold rule.")
+	return expgrid.Metrics{
+		"model_violations":       float64(md.Violations),
+		"model_violation_pct":    100 * md.ViolationRate(),
+		"model_recovery_min":     recoveryMinutes(md, mdR),
+		"reactive_violations":    float64(re.Violations),
+		"reactive_violation_pct": 100 * re.ViolationRate(),
+		"reactive_recovery_min":  recoveryMinutes(re, reR),
+	}, nil
+}
+
+// recoveryMinutes is the gated form of a reaction: zero when the SLA
+// never broke, and the whole remaining run when it never recovered, so
+// a loop that stops recovering cannot pass a recovery-time gate.
+func recoveryMinutes(res sim.Result, rs sim.ReactionStats) float64 {
+	if rs.EverViolated && !rs.Recovered {
+		return res.Ticks[len(res.Ticks)-1].T.Sub(rs.ViolatedAt).Minutes()
+	}
+	return rs.Recovery.Minutes()
 }
 
 // --- E3: Figure 3 ---
 
-func runE3() {
+func runE3(expgrid.Params) (expgrid.Metrics, error) {
 	ddl := `
 ENTITY profiles (
     id string PRIMARY KEY,
@@ -179,11 +207,16 @@ WHERE f.f1 = ?user ORDER BY p.birthday LIMIT 50
 		r := results[name]
 		fmt.Printf("  %-28s %-12s %10d %12d\n", name, r.Shape, r.Fanout, r.UpdateWork)
 	}
+	return expgrid.Metrics{
+		"maintenance_rows": float64(len(out2.Maintenance)),
+		"indexes":          float64(len(out2.Indexes)),
+		"queries":          float64(len(s.QueryOrder)),
+	}, nil
 }
 
 // --- E4a ---
 
-func runE4a() {
+func runE4a(expgrid.Params) (expgrid.Metrics, error) {
 	lc, err := scads.NewLocalCluster(4, scads.Config{ReplicationFactor: 2, SLA: paperSLA()})
 	must(err)
 	defer lc.Close()
@@ -207,25 +240,37 @@ func runE4a() {
 	fmt.Printf("  throughput:        %.0f req/s\n", float64(ops)/elapsed.Seconds())
 	fmt.Printf("  p99.9 latency:     %s   (bound: %s)\n", iv.Latency, paperSLA().LatencyBound)
 	fmt.Printf("  success rate:      %.4f%% (floor: %.1f%%)\n", iv.SuccessRate, paperSLA().SuccessRate)
-	met := "MET"
+	met, slaMet := "MET", 1.0
 	if !iv.Met {
-		met = "VIOLATED"
+		met, slaMet = "VIOLATED", 0
 	}
 	fmt.Printf("  SLA:               %s\n", met)
+	return expgrid.Metrics{
+		"sla_met":          slaMet,
+		"success_pct":      iv.SuccessRate,
+		"p999_latency_us":  float64(iv.Latency.Microseconds()),
+		"throughput_req_s": float64(ops) / elapsed.Seconds(),
+	}, nil
 }
 
 // --- E4b ---
 
-func runE4b() {
+func runE4b(expgrid.Params) (expgrid.Metrics, error) {
+	m := expgrid.Metrics{
+		"lww_lost_updates":          counterLoss("last-write-wins"),
+		"serializable_lost_updates": counterLoss("serializable"),
+		"merge_lost_posts":          mergeLoss(),
+	}
 	fmt.Println("the same contended counter (8 writers x 50 increments) under each")
 	fmt.Println("write-consistency mode, plus 32 concurrent wall posts under merge:")
 	fmt.Printf("\n  %-22s %14s\n", "write mode", "lost updates")
-	fmt.Printf("  %-22s %14.0f\n", "last-write-wins", counterLoss("last-write-wins"))
-	fmt.Printf("  %-22s %14.0f\n", "serializable", counterLoss("serializable"))
-	fmt.Printf("  %-22s %14.0f   (union of posts; lost posts)\n", "merge(union)", mergeLoss())
+	fmt.Printf("  %-22s %14.0f\n", "last-write-wins", m["lww_lost_updates"])
+	fmt.Printf("  %-22s %14.0f\n", "serializable", m["serializable_lost_updates"])
+	fmt.Printf("  %-22s %14.0f   (union of posts; lost posts)\n", "merge(union)", m["merge_lost_posts"])
 	fmt.Println("\nthe spectrum of §3.3.1: LWW silently drops concurrent increments,")
 	fmt.Println("serializable recovers RDBMS behaviour, and merge converges without locks")
 	fmt.Println("when the developer supplies a commutative resolution function.")
+	return m, nil
 }
 
 func counterLoss(mode string) float64 {
@@ -304,7 +349,7 @@ func mergeLoss() float64 {
 
 // --- E4c ---
 
-func runE4c() {
+func runE4c(expgrid.Params) (expgrid.Metrics, error) {
 	vc := clock.NewVirtual(t0)
 	q := replication.NewQueue(replication.ByDeadline)
 	pump := replication.NewPump(q, func(ns, node string, recs []record.Record) error { return nil }, vc)
@@ -340,11 +385,17 @@ func runE4c() {
 	fmt.Println("older than the bound is skipped (or the read fails/stalls, per the")
 	fmt.Println("namespace's declared priority order — see experiment e4d and the")
 	fmt.Println("TestStalenessBoundArbitration integration test).")
+	return expgrid.Metrics{
+		"max_staleness_s":     worst.Seconds(),
+		"staleness_bound_s":   bound.Seconds(),
+		"deadline_violations": float64(stats.Violations),
+		"delivered":           float64(stats.Delivered),
+	}, nil
 }
 
 // --- E4d ---
 
-func runE4d() {
+func runE4d(expgrid.Params) (expgrid.Metrics, error) {
 	frac := func(useSession bool) float64 {
 		lc, err := scads.NewLocalCluster(2, scads.Config{ReplicationFactor: 2})
 		must(err)
@@ -373,16 +424,27 @@ func runE4d() {
 	}
 	fmt.Println("write, then immediately read, while replication to the second replica")
 	fmt.Println("is still in flight (RF=2, reads rotate across replicas):")
+	without, with := frac(false), frac(true)
 	fmt.Printf("\n  %-28s %22s\n", "mode", "saw own write")
-	fmt.Printf("  %-28s %21.1f%%\n", "no session", frac(false))
-	fmt.Printf("  %-28s %21.1f%%\n", "read-your-writes session", frac(true))
+	fmt.Printf("  %-28s %21.1f%%\n", "no session", without)
+	fmt.Printf("  %-28s %21.1f%%\n", "read-your-writes session", with)
 	fmt.Println("\n\"I must read my own writes\" (Figure 4): the session floor forces the")
 	fmt.Println("read to fail over from the stale replica to one that has the write.")
+	return expgrid.Metrics{
+		"session_saw_own_write_pct":    with,
+		"no_session_saw_own_write_pct": without,
+	}, nil
 }
 
 // --- E4e ---
 
-func runE4e() {
+// runE4e's Monte Carlo column draws from the row's seed; the analytic
+// columns are exact, and the baseline gates them: for every (p,
+// target) pair, no more replicas than the table and an analytic
+// survival that still meets the target — together, exactly the
+// minimal replica count.
+func runE4e(p expgrid.Params) (expgrid.Metrics, error) {
+	m := make(expgrid.Metrics)
 	fmt.Println("durability SLA: replicas required so committed writes persist, given the")
 	fmt.Println("probability a node dies within one repair window (analytic + Monte Carlo):")
 	fmt.Printf("\n  %10s %14s %10s %18s %16s\n", "p(fail)", "target", "replicas", "analytic-survival", "monte-carlo")
@@ -391,27 +453,44 @@ func runE4e() {
 			r, err := consistency.RequiredReplicas(pFail, target)
 			must(err)
 			an := consistency.SurvivalProbability(pFail, r)
-			mc := consistency.MonteCarloSurvival(pFail, r, 400000, 7)
+			mc := consistency.MonteCarloSurvival(pFail, r, 400000, p.Seed)
 			fmt.Printf("  %10.2f %13.3f%% %10d %18.6f %16.6f\n", pFail, 100*target, r, an, mc)
+			key := fmt.Sprintf("p%g_t%g", pFail, target)
+			m["replicas_"+key] = float64(r)
+			m["survival_"+key] = an
+			m["mc_survival_"+key] = mc
 		}
 	}
 	fmt.Println("\n\"for high volume but less-important data, such as old comments, relaxing")
 	fmt.Println("this probability could save on replication costs\" (§3.3.1): dropping from")
 	fmt.Println("five nines to two nines saves a replica at p=0.01.")
+	return m, nil
 }
 
 // --- E5 ---
 
-func runE5() {
+// runE5's latency is gated only as the ratio of the largest scale's
+// median to the smallest's; the probe's row count must be exactly 20
+// at every scale.
+func runE5(expgrid.Params) (expgrid.Metrics, error) {
+	m := make(expgrid.Metrics)
+	var rowCounts []float64
 	fmt.Println("the birthday query against a probe user with exactly 20 friends, as the")
 	fmt.Println("background population grows 100x (the §1.1 scale-independence claim):")
 	fmt.Printf("\n  %12s %14s %16s %14s\n", "users", "median-us", "p99-us", "rows")
 	for _, users := range []int{1000, 10000, 100000} {
 		med, p99, rows := e5Probe(users)
 		fmt.Printf("  %12d %14.0f %16.0f %14d\n", users, med, p99, rows)
+		m[fmt.Sprintf("p50_us_%d_users", users)] = med
+		m[fmt.Sprintf("p99_us_%d_users", users)] = p99
+		rowCounts = append(rowCounts, float64(rows))
 	}
+	m["probe_rows_min"] = slices.Min(rowCounts)
+	m["probe_rows_max"] = slices.Max(rowCounts)
+	m["p50_ratio_100k_to_1k_users"] = m["p50_us_100000_users"] / m["p50_us_1000_users"]
 	fmt.Println("\nresponse time is flat in the number of users: every execution is one")
 	fmt.Println("bounded contiguous index scan regardless of total data volume.")
+	return m, nil
 }
 
 func e5Probe(users int) (medianUS, p99US float64, rows int) {
@@ -440,21 +519,14 @@ func e5Probe(users int) (medianUS, p99US float64, rows int) {
 		lats = append(lats, float64(time.Since(start).Microseconds()))
 		rows = len(rs)
 	}
-	sortFloats(lats)
+	sort.Float64s(lats)
 	return lats[len(lats)/2], lats[len(lats)*99/100], rows
-}
-
-func sortFloats(x []float64) {
-	for i := 1; i < len(x); i++ {
-		for j := i; j > 0 && x[j] < x[j-1]; j-- {
-			x[j], x[j-1] = x[j-1], x[j]
-		}
-	}
 }
 
 // --- E6 ---
 
-func runE6() {
+func runE6(expgrid.Params) (expgrid.Metrics, error) {
+	m := expgrid.Metrics{"facebook_accepted": 0, "twitter_rejected": 0}
 	facebook := `
 ENTITY users ( id string PRIMARY KEY, name string )
 ENTITY friendships ( f1 string, f2 string, PRIMARY KEY (f1, f2), CARDINALITY f1 5000, CARDINALITY f2 5000 )
@@ -476,6 +548,9 @@ QUERY followersOf SELECT u.* FROM follows f JOIN users u ON f.follower = u.id WH
 		r := resF["friendsOf"]
 		fmt.Printf("    ACCEPTED: shape=%s fanout=%d update-work=%d (O(K), K=10000)\n",
 			r.Shape, r.Fanout, r.UpdateWork)
+		m["facebook_accepted"] = 1
+		m["facebook_fanout"] = float64(r.Fanout)
+		m["facebook_update_work"] = float64(r.UpdateWork)
 	} else {
 		fmt.Printf("    unexpectedly rejected: %v\n", errF)
 	}
@@ -485,14 +560,16 @@ QUERY followersOf SELECT u.* FROM follows f JOIN users u ON f.follower = u.id WH
 	fmt.Printf("\n  Twitter-style schema (unbounded followers):\n")
 	if errT != nil {
 		fmt.Printf("    REJECTED: %v\n", firstLine(errT.Error()))
+		m["twitter_rejected"] = 1
 	} else {
 		fmt.Printf("    unexpectedly accepted\n")
 	}
+	return m, nil
 }
 
 // --- E7 ---
 
-func runE7() {
+func runE7(expgrid.Params) (expgrid.Metrics, error) {
 	svc := paperService()
 	trace := workload.Diurnal{Base: 3000, Amplitude: 2500, PeakHour: 14}
 	common := sim.Config{
@@ -517,15 +594,26 @@ func runE7() {
 		"static (peak-sized)", static.MachineHours, "", static.CostUSD, 100*static.ViolationRate(), static.PeakServers)
 	fmt.Printf("  %-24s %14.1f %11s$%.2f %13.2f%% %12d\n",
 		"elastic (SCADS)", elastic.MachineHours, "", elastic.CostUSD, 100*elastic.ViolationRate(), elastic.PeakServers)
-	fmt.Printf("\n  savings: %.1f%% of the static bill, at comparable SLA compliance —\n",
-		100*(1-elastic.CostUSD/static.CostUSD))
+	savings := 100 * (1 - elastic.CostUSD/static.CostUSD)
+	fmt.Printf("\n  savings: %.1f%% of the static bill, at comparable SLA compliance —\n", savings)
 	fmt.Println("  \"rapid scale-down is a new goal for massive storage systems, as there")
 	fmt.Println("  is now an economic benefit to doing so\" (§1).")
+	return expgrid.Metrics{
+		"static_machine_hours":  static.MachineHours,
+		"static_cost_usd":       static.CostUSD,
+		"static_violation_pct":  100 * static.ViolationRate(),
+		"static_peak_servers":   float64(static.PeakServers),
+		"elastic_machine_hours": elastic.MachineHours,
+		"elastic_cost_usd":      elastic.CostUSD,
+		"elastic_violation_pct": 100 * elastic.ViolationRate(),
+		"elastic_peak_servers":  float64(elastic.PeakServers),
+		"elastic_savings_pct":   savings,
+	}, nil
 }
 
 // --- E8 ---
 
-func runE8() {
+func runE8(expgrid.Params) (expgrid.Metrics, error) {
 	dl := sim.RunE8(replication.ByDeadline, t0)
 	ff := sim.RunE8(replication.FIFO, t0)
 	fmt.Println("mixed staleness bounds (1s and 60s), 100 writes/s against 80/s of")
@@ -537,6 +625,14 @@ func runE8() {
 	fmt.Println("first [and] easily detect when it is in danger of getting behind")
 	fmt.Println("schedule\" (§3.3.2): the deadline order spends the scarce bandwidth on")
 	fmt.Println("tight bounds; FIFO blows through them while loose bounds had slack.")
+	return expgrid.Metrics{
+		"deadline_tight_violations":  float64(dl.TightViolations),
+		"deadline_loose_violations":  float64(dl.LooseViolations),
+		"deadline_max_tight_stale_s": dl.MaxTightStale.Seconds(),
+		"fifo_tight_violations":      float64(ff.TightViolations),
+		"fifo_loose_violations":      float64(ff.LooseViolations),
+		"fifo_max_tight_stale_s":     ff.MaxTightStale.Seconds(),
+	}, nil
 }
 
 // --- helpers ---

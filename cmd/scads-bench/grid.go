@@ -1,7 +1,8 @@
 package main
 
-// The experiment grid: e12–e18 register with internal/expgrid as
-// parameterized experiments (params in, typed metrics out), and the
+// The experiment grid: every experiment — the paper's figures e1–e11
+// and the system gates e12–e18 — registers with internal/expgrid as a
+// parameterized experiment (params in, typed metrics out), and the
 // committed experiments.json at the repository root declares which
 // rows — base configurations plus workload variants (value sizes,
 // skew, mixes, repeats) — one `scads-bench -grid` invocation runs.
@@ -17,12 +18,28 @@ import (
 	"scads/internal/expgrid"
 )
 
-// gridRegistry declares every grid-runnable experiment. Parameter
-// defaults reproduce the historical single-shot behavior of each
-// `-exp` run, so a grid row with no overrides is the same experiment
-// CI has always gated.
+// gridRegistry declares every experiment. The paper figures take no
+// parameters: each reproduces one fixed figure or table, and its
+// committed baseline encodes the paper's claim. Parameter defaults of
+// e12–e18 reproduce their historical single-shot behavior, so a grid
+// row with no overrides is the same experiment CI has always gated.
 func gridRegistry() *expgrid.Registry {
 	reg := expgrid.NewRegistry()
+	reg.Register(expgrid.Experiment{ID: "e1", Name: "Figure 1: Animoto viral scale-up (50 -> 3400 servers)", Run: runE1})
+	reg.Register(expgrid.Experiment{ID: "e2", Name: "Figure 2: provisioning feedback loop reaction", Run: runE2})
+	reg.Register(expgrid.Experiment{ID: "e3", Name: "Figure 3: index-maintenance table", Run: runE3})
+	reg.Register(expgrid.Experiment{ID: "e4a", Name: "Figure 4 row 1: performance SLA", Run: runE4a})
+	reg.Register(expgrid.Experiment{ID: "e4b", Name: "Figure 4 row 2: write consistency spectrum", Run: runE4b})
+	reg.Register(expgrid.Experiment{ID: "e4c", Name: "Figure 4 row 3: read-consistency staleness bound", Run: runE4c})
+	reg.Register(expgrid.Experiment{ID: "e4d", Name: "Figure 4 row 4: session guarantees", Run: runE4d})
+	reg.Register(expgrid.Experiment{ID: "e4e", Name: "Figure 4 row 5: durability SLA", Run: runE4e})
+	reg.Register(expgrid.Experiment{ID: "e5", Name: "Scale independence: latency flat in user count", Run: runE5})
+	reg.Register(expgrid.Experiment{ID: "e6", Name: "O(K) update bound: Facebook accepted, Twitter rejected", Run: runE6})
+	reg.Register(expgrid.Experiment{ID: "e7", Name: "Scale-down economics: diurnal day, elastic vs static", Run: runE7})
+	reg.Register(expgrid.Experiment{ID: "e8", Name: "Deadline priority queue vs FIFO (ablation)", Run: runE8})
+	reg.Register(expgrid.Experiment{ID: "e9", Name: "Advisor: pre-deployment cost & downtime-vs-cost guidance", Run: runE9})
+	reg.Register(expgrid.Experiment{ID: "e10", Name: "Partition contention: priority order arbitration (§3.3.1)", Run: runE10})
+	reg.Register(expgrid.Experiment{ID: "e11", Name: "Workload-driven repartitioning: hot-range split & move", Run: runE11})
 	reg.Register(expgrid.Experiment{
 		ID:   "e12",
 		Name: "Writes during migration: lossless online range handoff",
@@ -103,12 +120,6 @@ func gridRegistry() *expgrid.Registry {
 	return reg
 }
 
-// defaultParams resolves an experiment's declared defaults with no
-// overrides — the legacy `-exp` path.
-func defaultParams(exp expgrid.Experiment, seed int64) expgrid.Params {
-	return expgrid.NewParams(exp.Params, nil, seed, 0)
-}
-
 // runGridCmd is the `-grid` entrypoint: parse and validate the
 // committed grid, execute every row (or just -grid-row) with repeats,
 // write BENCH_<row>.json grouped summaries plus the schema-validated
@@ -178,15 +189,11 @@ func loadRowBaselines(baselineDir string, res *expgrid.GridResult) map[string]ma
 	return out
 }
 
-// listExperiments prints the catalogue: legacy figure experiments
-// first, then every grid-registered experiment with its overridable
-// parameters — the reference for writing experiments.json rows.
+// listExperiments prints the catalogue: every registered experiment
+// with its overridable parameters — the reference for writing
+// experiments.json rows.
 func listExperiments() {
-	fmt.Println("legacy figure experiments (-exp only, not grid-runnable):")
-	for _, e := range legacyExperiments {
-		fmt.Printf("  %-5s %s\n", e.id, e.name)
-	}
-	fmt.Println("\ngrid-runnable experiments (-exp, or rows in experiments.json):")
+	fmt.Println("experiments (rows in experiments.json; run one with -grid experiments.json -grid-row ID):")
 	for _, exp := range gridRegistry().List() {
 		fmt.Printf("  %-5s %s\n", exp.ID, exp.Name)
 		if len(exp.Params) == 0 {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"scads/internal/expgrid"
@@ -20,8 +22,8 @@ func TestCommittedGridParses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("committed experiments.json invalid: %v", err)
 	}
-	if len(g.Rows) < 8 {
-		t.Fatalf("committed grid has %d rows, want >= 8 (e12..e17 plus workload variants)", len(g.Rows))
+	if want := len(gridRegistry().List()) + 2; len(g.Rows) < want {
+		t.Fatalf("committed grid has %d rows, want >= %d (one per experiment e1..e18 plus workload variants)", len(g.Rows), want)
 	}
 	variants := 0
 	for _, row := range g.Rows {
@@ -34,13 +36,12 @@ func TestCommittedGridParses(t *testing.T) {
 	}
 }
 
-// TestGridRegistryDefaultsValidate runs every registered experiment's
-// parameter validation (not its workload) at declared defaults by
-// constructing the same Params the legacy -exp path uses. Defaults
-// that an experiment would reject are caught here.
+// TestGridRegistryDefaultsValidate checks that a grid row with no
+// overrides resolves every registered experiment's parameters to its
+// declared defaults.
 func TestGridRegistryDefaultsValidate(t *testing.T) {
 	for _, exp := range gridRegistry().List() {
-		p := defaultParams(exp, 1)
+		p := expgrid.NewParams(exp.Params, nil, 1, 0)
 		for _, spec := range exp.Params {
 			if got := p.Get(spec.Name); got != spec.Default {
 				t.Errorf("%s: default %s = %g, want %g", exp.ID, spec.Name, got, spec.Default)
@@ -76,5 +77,54 @@ func TestGroupedSummaryRoundTrip(t *testing.T) {
 	}
 	if m.Direction != "" || m.Tolerance != 0 {
 		t.Fatalf("run summary must not carry baseline policy: %+v", m)
+	}
+}
+
+// TestPaperRowsMeetBaselines runs every paper-figure row (e2..e11;
+// e1's 20s simulation is gated only by the bench-gate grid run)
+// through its Run hook at the row's committed seed and checks each
+// result against the row's committed baseline with the same policy
+// -compare applies, so a broken paper claim fails go test.
+func TestPaperRowsMeetBaselines(t *testing.T) {
+	data, err := os.ReadFile("../../experiments.json")
+	if err != nil {
+		t.Fatalf("read committed grid: %v", err)
+	}
+	reg := gridRegistry()
+	g, err := expgrid.ParseGrid(data, reg)
+	if err != nil {
+		t.Fatalf("committed experiments.json invalid: %v", err)
+	}
+	rows := make(map[string]expgrid.Row, len(g.Rows))
+	for _, row := range g.Rows {
+		rows[row.ID] = row
+	}
+	for _, id := range strings.Fields("e2 e3 e4a e4b e4c e4d e4e e5 e6 e7 e8 e9 e10 e11") {
+		row, ok := rows[id]
+		if !ok {
+			t.Errorf("%s: no row in experiments.json", id)
+			continue
+		}
+		base, err := readSummary(filepath.Join("baselines", "BENCH_"+id+".json"))
+		if err != nil {
+			t.Errorf("%s: committed baseline: %v", id, err)
+			continue
+		}
+		exp, _ := reg.Lookup(row.Experiment)
+		m, err := exp.Run(expgrid.NewParams(exp.Params, row.Params, row.Seed, 0))
+		if err != nil {
+			t.Errorf("%s: %v", id, err)
+			continue
+		}
+		for name, bm := range base.Metrics {
+			got, ok := m[name]
+			if !ok {
+				t.Errorf("%s: baseline metric %s missing from the run", id, name)
+				continue
+			}
+			if ok, bound := withinTolerance(bm, got); !ok {
+				t.Errorf("%s: %s = %g, outside the %s bound %g", id, name, got, bm.Direction, bound)
+			}
+		}
 	}
 }

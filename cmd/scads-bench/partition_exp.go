@@ -7,6 +7,7 @@ import (
 
 	"scads"
 	"scads/internal/clock"
+	"scads/internal/expgrid"
 	"scads/internal/planner"
 )
 
@@ -16,7 +17,8 @@ import (
 // bound unsatisfiable at once. The namespace's declared priority order
 // decides the outcome; the contention is noted for the
 // director/operators either way.
-func runE10() {
+func runE10(expgrid.Params) (expgrid.Metrics, error) {
+	m := make(expgrid.Metrics)
 	run := func(priority string) (served, failed, stale int, noted scads.ContentionStats) {
 		vc := clock.NewVirtual(t0)
 		lc, err := scads.NewLocalCluster(2, scads.Config{Clock: vc, ReplicationFactor: 2})
@@ -56,14 +58,21 @@ func runE10() {
 
 	fmt.Printf("%-36s %8s %8s %8s %14s\n",
 		"priority order", "served", "failed", "stale", "noted-events")
-	for _, prio := range []string{
-		"availability > read-consistency",
-		"read-consistency > availability",
+	for _, order := range []struct{ prio, metric string }{
+		{"availability > read-consistency", "avail_first"},
+		{"read-consistency > availability", "consistency_first"},
 	} {
-		served, failed, stale, noted := run(prio)
-		fmt.Printf("%-36s %8d %8d %8d %14d\n", prio, served, failed, stale, noted.Total)
+		served, failed, stale, noted := run(order.prio)
+		fmt.Printf("%-36s %8d %8d %8d %14d\n", order.prio, served, failed, stale, noted.Total)
+		m[order.metric+"_served"] = float64(served)
+		m[order.metric+"_failed"] = float64(failed)
+		m[order.metric+"_stale"] = float64(stale)
+		m[order.metric+"_noted_events"] = float64(noted.Total)
+		m[order.metric+"_noted_stale_served"] = float64(noted.StaleServed)
+		m[order.metric+"_noted_reads_failed"] = float64(noted.ReadsFailed)
 	}
 	fmt.Println("\navailability-first keeps serving (every answer is the stale v1);")
 	fmt.Println("read-consistency-first fails every read instead. Both orders note the")
 	fmt.Println("contention so the director/operators can re-provision (§3.3.1).")
+	return m, nil
 }
