@@ -143,23 +143,27 @@ func TestCtlWatermarkAndFence(t *testing.T) {
 		t.Fatalf("fence: %v", err)
 	}
 	// Writes inside the fence bounce with the migration fence error.
-	resp, err := tr.Call(addr, rpc.Request{
-		Method: rpc.MethodPut, Namespace: "tbl_users", Key: []byte("bob"), Value: []byte("x"),
-	})
+	write := rpc.Request{
+		Method: rpc.MethodApply, Namespace: "tbl_users",
+		Records: []record.Record{{Key: []byte("bob"), Value: []byte("x"), Version: 100}},
+	}
+	resp, err := tr.Call(addr, write)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rpc.IsFenced(resp.Error()) {
-		t.Fatalf("put through fence = %v", resp.Error())
+		t.Fatalf("write through fence = %v", resp.Error())
 	}
 	if err := runOne(tr, addr, "unfence", params{ns: "tbl_users", start: "a", end: "c"}); err != nil {
 		t.Fatalf("unfence: %v", err)
 	}
-	resp, err = tr.Call(addr, rpc.Request{
-		Method: rpc.MethodPut, Namespace: "tbl_users", Key: []byte("bob"), Value: []byte("x"),
-	})
+	resp, err = tr.Call(addr, write)
 	if err != nil || resp.Error() != nil {
-		t.Fatalf("put after unfence: %v %v", err, resp.Error())
+		t.Fatalf("write after unfence: %v %v", err, resp.Error())
+	}
+	resp, err = tr.Call(addr, rpc.Request{Method: rpc.MethodGet, Namespace: "tbl_users", Key: []byte("bob")})
+	if err != nil || string(resp.Value) != "x" {
+		t.Fatalf("read after unfence: %v %q", err, resp.Value)
 	}
 }
 

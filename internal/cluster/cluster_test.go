@@ -22,6 +22,14 @@ func newTestNode(t testing.TB, id string) *Node {
 	return NewNode(id, e)
 }
 
+// writeReq is a one-record versioned apply of key=val — the shape every
+// coordinator write takes on the wire — versioned by n's engine. A nil
+// val tombstones the key.
+func writeReq(n *Node, ns string, key, val []byte) rpc.Request {
+	rec := record.Record{Key: key, Value: val, Version: n.Engine().NextVersion(), Tombstone: val == nil}
+	return rpc.Request{Method: rpc.MethodApply, Namespace: ns, Records: []record.Record{rec}}
+}
+
 func TestNodeServeCRUD(t *testing.T) {
 	n := newTestNode(t, "n1")
 
@@ -30,9 +38,9 @@ func TestNodeServeCRUD(t *testing.T) {
 		t.Fatalf("ping = %+v", resp)
 	}
 
-	resp = n.Serve(rpc.Request{Method: rpc.MethodPut, Namespace: "users", Key: []byte("alice"), Value: []byte("p")})
-	if resp.Error() != nil || resp.Version == 0 {
-		t.Fatalf("put = %+v", resp)
+	resp = n.Serve(writeReq(n, "users", []byte("alice"), []byte("p")))
+	if resp.Error() != nil {
+		t.Fatalf("write = %+v", resp)
 	}
 
 	resp = n.Serve(rpc.Request{Method: rpc.MethodGet, Namespace: "users", Key: []byte("alice")})
@@ -40,9 +48,9 @@ func TestNodeServeCRUD(t *testing.T) {
 		t.Fatalf("get = %+v", resp)
 	}
 
-	resp = n.Serve(rpc.Request{Method: rpc.MethodDelete, Namespace: "users", Key: []byte("alice")})
+	resp = n.Serve(writeReq(n, "users", []byte("alice"), nil))
 	if resp.Error() != nil {
-		t.Fatalf("delete = %+v", resp)
+		t.Fatalf("tombstone = %+v", resp)
 	}
 	resp = n.Serve(rpc.Request{Method: rpc.MethodGet, Namespace: "users", Key: []byte("alice")})
 	if resp.Found {
@@ -53,7 +61,7 @@ func TestNodeServeCRUD(t *testing.T) {
 func TestNodeScanBoundedAndOrdered(t *testing.T) {
 	n := newTestNode(t, "n1")
 	for i := 0; i < 50; i++ {
-		n.Serve(rpc.Request{Method: rpc.MethodPut, Namespace: "ns", Key: []byte(fmt.Sprintf("k-%03d", i)), Value: []byte("v")})
+		n.Serve(writeReq(n, "ns", []byte(fmt.Sprintf("k-%03d", i)), []byte("v")))
 	}
 	resp := n.Serve(rpc.Request{
 		Method: rpc.MethodScan, Namespace: "ns",
@@ -94,7 +102,7 @@ func TestNodeApplyVersioned(t *testing.T) {
 func TestNodeDropRange(t *testing.T) {
 	n := newTestNode(t, "n1")
 	for i := 0; i < 20; i++ {
-		n.Serve(rpc.Request{Method: rpc.MethodPut, Namespace: "ns", Key: []byte(fmt.Sprintf("k-%02d", i)), Value: []byte("v")})
+		n.Serve(writeReq(n, "ns", []byte(fmt.Sprintf("k-%02d", i)), []byte("v")))
 	}
 	resp := n.Serve(rpc.Request{Method: rpc.MethodDropRange, Namespace: "ns", Start: []byte("k-05"), End: []byte("k-15")})
 	if resp.Error() != nil {
@@ -115,7 +123,7 @@ func TestNodeDropRange(t *testing.T) {
 func TestNodeStatsAndCounters(t *testing.T) {
 	n := newTestNode(t, "n1")
 	for i := 0; i < 5; i++ {
-		n.Serve(rpc.Request{Method: rpc.MethodPut, Namespace: "ns", Key: []byte(fmt.Sprintf("k%d", i)), Value: []byte("v")})
+		n.Serve(writeReq(n, "ns", []byte(fmt.Sprintf("k%d", i)), []byte("v")))
 	}
 	for i := 0; i < 3; i++ {
 		n.Serve(rpc.Request{Method: rpc.MethodGet, Namespace: "ns", Key: []byte("k0")})
@@ -148,7 +156,7 @@ func TestNodeOverTCP(t *testing.T) {
 	tr := rpc.NewTCPTransport()
 	defer tr.Close()
 
-	if _, err := tr.Call(addr, rpc.Request{Method: rpc.MethodPut, Namespace: "ns", Key: []byte("k"), Value: []byte("v")}); err != nil {
+	if _, err := tr.Call(addr, writeReq(n, "ns", []byte("k"), []byte("v"))); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := tr.Call(addr, rpc.Request{Method: rpc.MethodGet, Namespace: "ns", Key: []byte("k")})

@@ -119,18 +119,6 @@ func cloneFenceBound(b []byte) []byte {
 	return append([]byte(nil), b...)
 }
 
-// covers reports whether key falls inside any fence of the namespace.
-func (fs *fenceSet) covers(ns string, key []byte) bool {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	for _, f := range fs.byNS[ns] {
-		if f.contains(key) {
-			return true
-		}
-	}
-	return false
-}
-
 // intersects reports whether any fence of the namespace overlaps
 // [start, end) (nil bounds are infinite). Range scans check this: a
 // fence means the span is mid-handoff (or already lost and about to be

@@ -12,7 +12,7 @@ func TestFenceRejectsWritesInRangeOnly(t *testing.T) {
 	n := newTestNode(t, "n1")
 	const ns = "tbl_users"
 	put := func(key string) error {
-		resp := n.Serve(rpc.Request{Method: rpc.MethodPut, Namespace: ns, Key: []byte(key), Value: []byte("v")})
+		resp := n.Serve(writeReq(n, ns, []byte(key), []byte("v")))
 		return resp.Error()
 	}
 
@@ -33,10 +33,10 @@ func TestFenceRejectsWritesInRangeOnly(t *testing.T) {
 	if e := put("d"); e != nil {
 		t.Fatalf("put at exclusive end rejected: %v", e)
 	}
-	// Deletes and applies bounce too.
-	resp = n.Serve(rpc.Request{Method: rpc.MethodDelete, Namespace: ns, Key: []byte("bb")})
+	// Tombstones and multi-record groups bounce too.
+	resp = n.Serve(writeReq(n, ns, []byte("bb"), nil))
 	if !rpc.IsFenced(resp.Error()) {
-		t.Fatalf("in-fence delete = %v", resp.Error())
+		t.Fatalf("in-fence tombstone = %v", resp.Error())
 	}
 	resp = n.Serve(rpc.Request{Method: rpc.MethodApply, Namespace: ns, Records: []record.Record{
 		{Key: []byte("a"), Value: []byte("x"), Version: 99},
@@ -46,7 +46,7 @@ func TestFenceRejectsWritesInRangeOnly(t *testing.T) {
 		t.Fatalf("apply group touching the fence = %v", resp.Error())
 	}
 	// Another namespace is unaffected.
-	resp = n.Serve(rpc.Request{Method: rpc.MethodPut, Namespace: "tbl_other", Key: []byte("c"), Value: []byte("v")})
+	resp = n.Serve(writeReq(n, "tbl_other", []byte("c"), []byte("v")))
 	if resp.Error() != nil {
 		t.Fatalf("other namespace fenced: %v", resp.Error())
 	}
@@ -58,8 +58,8 @@ func TestFenceRejectsWritesInRangeOnly(t *testing.T) {
 
 	// Batched sub-requests are checked individually.
 	resp = n.Serve(rpc.Request{Method: rpc.MethodBatch, Batch: []rpc.Request{
-		{Method: rpc.MethodPut, Namespace: ns, Key: []byte("c"), Value: []byte("v")},
-		{Method: rpc.MethodPut, Namespace: ns, Key: []byte("e"), Value: []byte("v")},
+		writeReq(n, ns, []byte("c"), []byte("v")),
+		writeReq(n, ns, []byte("e"), []byte("v")),
 	}})
 	if !rpc.IsFenced(resp.Batch[0].Error()) || resp.Batch[1].Error() != nil {
 		t.Fatalf("batch = [%v, %v]", resp.Batch[0].Error(), resp.Batch[1].Error())
@@ -87,16 +87,13 @@ func TestRangeSnapshotAndDelta(t *testing.T) {
 	n := newTestNode(t, "n1")
 	const ns = "tbl_users"
 	for i := 0; i < 25; i++ {
-		resp := n.Serve(rpc.Request{
-			Method: rpc.MethodPut, Namespace: ns,
-			Key: []byte(fmt.Sprintf("k%02d", i)), Value: []byte("v"),
-		})
+		resp := n.Serve(writeReq(n, ns, []byte(fmt.Sprintf("k%02d", i)), []byte("v")))
 		if resp.Error() != nil {
 			t.Fatal(resp.Error())
 		}
 	}
 	// Deleted keys ride the snapshot as tombstones.
-	if resp := n.Serve(rpc.Request{Method: rpc.MethodDelete, Namespace: ns, Key: []byte("k03")}); resp.Error() != nil {
+	if resp := n.Serve(writeReq(n, ns, []byte("k03"), nil)); resp.Error() != nil {
 		t.Fatal(resp.Error())
 	}
 
@@ -132,7 +129,7 @@ func TestRangeSnapshotAndDelta(t *testing.T) {
 	}
 
 	// Writes after the snapshot baseline surface in the delta.
-	if resp := n.Serve(rpc.Request{Method: rpc.MethodPut, Namespace: ns, Key: []byte("k01"), Value: []byte("v2")}); resp.Error() != nil {
+	if resp := n.Serve(writeReq(n, ns, []byte("k01"), []byte("v2"))); resp.Error() != nil {
 		t.Fatal(resp.Error())
 	}
 	resp := n.Serve(rpc.Request{Method: rpc.MethodRangeDelta, Namespace: ns, Epoch: epoch, Since: wm, Limit: 100})
@@ -160,7 +157,7 @@ func TestUnfenceSubtractsRange(t *testing.T) {
 	n := newTestNode(t, "n1")
 	const ns = "tbl_users"
 	put := func(key string) error {
-		resp := n.Serve(rpc.Request{Method: rpc.MethodPut, Namespace: ns, Key: []byte(key), Value: []byte("v")})
+		resp := n.Serve(writeReq(n, ns, []byte(key), []byte("v")))
 		return resp.Error()
 	}
 	// Fence the whole keyspace, then lift only [b, m): the remainder

@@ -50,10 +50,6 @@ func (n *Node) Serve(req rpc.Request) rpc.Response {
 		return rpc.Response{Found: true, Value: []byte(n.id)}
 	case rpc.MethodGet:
 		return n.get(req)
-	case rpc.MethodPut:
-		return n.put(req)
-	case rpc.MethodDelete:
-		return n.del(req)
 	case rpc.MethodScan:
 		return n.scan(req)
 	case rpc.MethodApply:
@@ -97,38 +93,6 @@ func (n *Node) get(req rpc.Request) rpc.Response {
 		return rpc.Response{Found: false}
 	}
 	return rpc.Response{Found: true, Value: rec.Value, Version: rec.Version}
-}
-
-func (n *Node) put(req rpc.Request) rpc.Response {
-	n.writes.Add(1)
-	if n.fences.covers(req.Namespace, req.Key) {
-		return rpc.Response{Err: rpc.ErrString(rpc.ErrFenced)}
-	}
-	ns, errResp, ok := n.namespace(req.Namespace)
-	if !ok {
-		return errResp
-	}
-	ver, err := ns.Put(req.Key, req.Value)
-	if err != nil {
-		return rpc.Response{Err: rpc.ErrString(err)}
-	}
-	return rpc.Response{Found: true, Version: ver}
-}
-
-func (n *Node) del(req rpc.Request) rpc.Response {
-	n.writes.Add(1)
-	if n.fences.covers(req.Namespace, req.Key) {
-		return rpc.Response{Err: rpc.ErrString(rpc.ErrFenced)}
-	}
-	ns, errResp, ok := n.namespace(req.Namespace)
-	if !ok {
-		return errResp
-	}
-	ver, err := ns.Delete(req.Key)
-	if err != nil {
-		return rpc.Response{Err: rpc.ErrString(err)}
-	}
-	return rpc.Response{Found: true, Version: ver}
 }
 
 // scanRawCap bounds how many stored records one scan request may visit

@@ -21,7 +21,7 @@ func seedRows(t *testing.T, n *Node, ns string, count int) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp := n.Serve(rpc.Request{Method: rpc.MethodPut, Namespace: ns, Key: key, Value: val})
+		resp := n.Serve(writeReq(n, ns, key, val))
 		if resp.Error() != nil {
 			t.Fatal(resp.Error())
 		}

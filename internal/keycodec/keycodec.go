@@ -253,6 +253,47 @@ func decodeEscaped(b []byte) (raw, rest []byte, err error) {
 	return nil, nil, ErrCorrupt
 }
 
+// Len reports how many leading bytes of key encode its first element,
+// without decoding it; desc reads an AppendDesc (complemented)
+// element.
+func Len(key []byte, desc bool) (int, error) {
+	at := func(i int) byte {
+		if desc {
+			return ^key[i]
+		}
+		return key[i]
+	}
+	if len(key) == 0 {
+		return 0, ErrCorrupt
+	}
+	switch at(0) {
+	case tagNull, tagFalse, tagTrue:
+		return 1, nil
+	case tagInt, tagFloat, tagTime:
+		if len(key) < 9 {
+			return 0, ErrCorrupt
+		}
+		return 9, nil
+	case tagString, tagBytes:
+		for i := 1; i+1 < len(key); i++ {
+			if at(i) != 0x00 {
+				continue
+			}
+			switch at(i + 1) {
+			case 0x01:
+				return i + 2, nil
+			case 0xFF:
+				i++
+			default:
+				return 0, ErrCorrupt
+			}
+		}
+		return 0, ErrCorrupt
+	default:
+		return 0, fmt.Errorf("keycodec: unknown tag 0x%02x: %w", at(0), ErrCorrupt)
+	}
+}
+
 // AppendDesc appends the encoding of one element with every byte
 // complemented, which reverses its sort order relative to other
 // Desc-encoded elements of the same type. Indexes use this for ORDER BY

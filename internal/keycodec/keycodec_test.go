@@ -2,6 +2,7 @@ package keycodec
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"sort"
@@ -359,5 +360,40 @@ func TestQuickAppendDescReverses(t *testing.T) {
 func TestAppendDescUnsupported(t *testing.T) {
 	if _, err := AppendDesc(nil, struct{}{}); err == nil {
 		t.Fatal("AppendDesc accepted unsupported type")
+	}
+}
+
+// TestLenSplitsTuples: Len walks a tuple element by element, in both
+// encoding directions, including strings with embedded zero bytes.
+func TestLenSplitsTuples(t *testing.T) {
+	elems := []any{nil, true, false, int64(-7), 3.5, time.Unix(5, 0).UTC(), "a\x00b", "", []byte{0, 0xFF, 1}}
+	for _, desc := range []bool{false, true} {
+		var key []byte
+		var lens []int
+		for _, e := range elems {
+			before := len(key)
+			var err error
+			if desc {
+				key, err = AppendDesc(key, e)
+			} else {
+				key, err = Append(key, e)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			lens = append(lens, len(key)-before)
+		}
+		for i, want := range lens {
+			n, err := Len(key, desc)
+			if err != nil || n != want {
+				t.Fatalf("desc=%v elem %d (%v): Len = %d, %v; want %d", desc, i, elems[i], n, err, want)
+			}
+			key = key[n:]
+		}
+	}
+	for _, bad := range [][]byte{nil, {tagInt, 1}, {tagString, 'a'}, {tagString, 0x00, 0x05}, {0x7F}} {
+		if _, err := Len(bad, false); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Len(%x) = %v, want ErrCorrupt", bad, err)
+		}
 	}
 }

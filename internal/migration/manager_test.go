@@ -69,6 +69,13 @@ func (h *harness) seed(node string, n int) {
 	}
 }
 
+// writeReq is a one-record versioned apply of k=v for node — the shape
+// every coordinator write takes on the wire.
+func (h *harness) writeReq(node string, k, v []byte) rpc.Request {
+	rec := record.Record{Key: k, Value: v, Version: h.nodes[node].Engine().NextVersion()}
+	return rpc.Request{Method: rpc.MethodApply, Namespace: testNS, Records: []record.Record{rec}}
+}
+
 func key(i int) []byte { return []byte(fmt.Sprintf("user%04d", i)) }
 
 func (h *harness) liveCount(node string) int {
@@ -117,9 +124,7 @@ func TestMoveRangeCopiesFlipsAndTearsDown(t *testing.T) {
 	}
 	// The donor keeps a fence: a straggler write routed pre-flip must
 	// bounce, not land invisibly.
-	resp, err := h.transport.Call("local://a", rpc.Request{
-		Method: rpc.MethodPut, Namespace: testNS, Key: key(1), Value: []byte("stray"),
-	})
+	resp, err := h.transport.Call("local://a", h.writeReq("a", key(1), []byte("stray")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,9 +190,7 @@ func TestMoveRangeFenceBouncesWritesBeforeFlip(t *testing.T) {
 			// Fence is installed, routing not yet flipped: a write to
 			// the old primary must bounce rather than be accepted and
 			// lost.
-			resp, err := h.transport.Call("local://a", rpc.Request{
-				Method: rpc.MethodPut, Namespace: testNS, Key: key(2), Value: []byte("late"),
-			})
+			resp, err := h.transport.Call("local://a", h.writeReq("a", key(2), []byte("late")))
 			if err != nil {
 				t.Error(err)
 				return
@@ -331,9 +334,7 @@ func TestRegainedRangeSurvivesStaleCleanup(t *testing.T) {
 		t.Fatalf("RetryCleanups truncated a regained range: %d live records", got)
 	}
 	// And writes to the regained range flow (no stale fence).
-	resp, err := h.transport.Call("local://a", rpc.Request{
-		Method: rpc.MethodPut, Namespace: testNS, Key: key(1), Value: []byte("post"),
-	})
+	resp, err := h.transport.Call("local://a", h.writeReq("a", key(1), []byte("post")))
 	if err != nil || resp.Error() != nil {
 		t.Fatalf("write to regained range: %v %v", err, resp.Error())
 	}
@@ -362,15 +363,11 @@ func TestRegainAfterSplitLiftsResidualFence(t *testing.T) {
 	}
 	// Writes to the regained left half flow; the right half (still
 	// owned by b) stays fenced on a.
-	left, err := h.transport.Call("local://a", rpc.Request{
-		Method: rpc.MethodPut, Namespace: testNS, Key: key(5), Value: []byte("v"),
-	})
+	left, err := h.transport.Call("local://a", h.writeReq("a", key(5), []byte("v")))
 	if err != nil || left.Error() != nil {
 		t.Fatalf("write to regained left half: %v %v", err, left.Error())
 	}
-	right, err := h.transport.Call("local://a", rpc.Request{
-		Method: rpc.MethodPut, Namespace: testNS, Key: key(30), Value: []byte("v"),
-	})
+	right, err := h.transport.Call("local://a", h.writeReq("a", key(30), []byte("v")))
 	if err != nil {
 		t.Fatal(err)
 	}

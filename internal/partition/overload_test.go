@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"scads/internal/record"
 	"scads/internal/rpc"
 )
 
@@ -30,19 +31,20 @@ func (s *shedTransport) Call(addr string, req rpc.Request) (rpc.Response, error)
 	return s.next.Call(addr, req)
 }
 
-// TestWriteWaitsOutOverloadedPrimary: a write whose primary sheds the
-// first attempts must honor the retry-after hint and land, not
-// surface ErrOverloaded to the caller.
+// TestWriteWaitsOutOverloadedPrimary: an ApplyPrimary whose primary
+// sheds the first attempts must honor the retry-after hint and land,
+// not surface ErrOverloaded to the caller.
 func TestWriteWaitsOutOverloadedPrimary(t *testing.T) {
 	tc := newTestCluster(t, "n1")
-	shed := &shedTransport{next: tc.transport, method: rpc.MethodPut}
+	shed := &shedTransport{next: tc.transport, method: rpc.MethodApply}
 	shed.left.Store(3)
 	r := NewRouter(shed, tc.dir)
 	m, _ := NewMap([]string{"n1"})
 	r.SetMap("ns", m)
 
-	if _, _, err := r.Put("ns", []byte("k"), []byte("v")); err != nil {
-		t.Fatalf("Put through transient overload: %v", err)
+	recs := []record.Record{{Key: []byte("k"), Value: []byte("v"), Version: 1}}
+	if _, err := r.ApplyPrimary("ns", []byte("k"), recs); err != nil {
+		t.Fatalf("apply through transient overload: %v", err)
 	}
 	if got := shed.sheds.Load(); got != 3 {
 		t.Fatalf("sheds consumed = %d, want 3", got)
@@ -84,20 +86,15 @@ func TestGetFailsOverFromOverloadedReplica(t *testing.T) {
 	tc := newTestCluster(t, "n1", "n2")
 	m, _ := NewMap([]string{"n1", "n2"})
 	tc.router.SetMap("ns", m)
-	if _, _, err := tc.router.Put("ns", []byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	// Router writes land on the primary only (replication is the
-	// coordinator pump's job); seed the replica directly so failover
-	// has somewhere to go.
-	resp, err := tc.transport.Call("addr-n2", rpc.Request{
-		Method: rpc.MethodPut, Namespace: "ns", Key: []byte("k"), Value: []byte("v"),
-	})
+	ver, _, err := put(tc.router, "ns", []byte("k"), []byte("v"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := resp.Error(); e != nil {
-		t.Fatal(e)
+	// Primary applies land on the primary only (replication is the
+	// coordinator pump's job); seed the replica directly so failover
+	// has somewhere to go.
+	if err := tc.router.Apply("ns", "n2", []record.Record{{Key: []byte("k"), Value: []byte("v"), Version: ver}}); err != nil {
+		t.Fatal(err)
 	}
 
 	// Shed every get aimed at the primary: only failover to the

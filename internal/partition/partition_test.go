@@ -3,6 +3,7 @@ package partition
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -199,6 +200,18 @@ type testCluster struct {
 	nodes     map[string]*cluster.Node
 }
 
+// testVersions hands out increasing record versions for test writes.
+var testVersions atomic.Uint64
+
+// put writes key=val to the primary of key's range the way coordinator
+// writes travel: one versioned record through ApplyPrimary. It returns
+// the record's version and the replica set of the range that took it.
+func put(r *Router, namespace string, key, val []byte) (uint64, []string, error) {
+	rec := record.Record{Key: key, Value: val, Version: testVersions.Add(1)}
+	rng, err := r.ApplyPrimary(namespace, key, []record.Record{rec})
+	return rec.Version, rng.Replicas, err
+}
+
 func newTestCluster(t testing.TB, ids ...string) *testCluster {
 	t.Helper()
 	tc := &testCluster{
@@ -227,9 +240,9 @@ func TestRouterPutGet(t *testing.T) {
 	m, _ := NewMap([]string{"n1", "n2"})
 	tc.router.SetMap("users", m)
 
-	ver, replicas, err := tc.router.Put("users", []byte("alice"), []byte("profile"))
+	ver, replicas, err := put(tc.router, "users", []byte("alice"), []byte("profile"))
 	if err != nil || ver == 0 {
-		t.Fatalf("Put: %v ver=%d", err, ver)
+		t.Fatalf("put: %v ver=%d", err, ver)
 	}
 	if len(replicas) != 2 || replicas[0] != "n1" {
 		t.Fatalf("replicas = %v", replicas)
@@ -255,7 +268,7 @@ func TestRouterApplyPropagates(t *testing.T) {
 	m, _ := NewMap([]string{"n1", "n2"})
 	tc.router.SetMap("users", m)
 
-	ver, _, err := tc.router.Put("users", []byte("k"), []byte("v"))
+	ver, _, err := put(tc.router, "users", []byte("k"), []byte("v"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +286,7 @@ func TestRouterFailover(t *testing.T) {
 	tc := newTestCluster(t, "n1", "n2")
 	m, _ := NewMap([]string{"n1", "n2"})
 	tc.router.SetMap("users", m)
-	ver, _, _ := tc.router.Put("users", []byte("k"), []byte("v"))
+	ver, _, _ := put(tc.router, "users", []byte("k"), []byte("v"))
 	// Replicate so both hold it.
 	tc.router.Apply("users", "n2", []record.Record{{Key: []byte("k"), Value: []byte("v"), Version: ver}})
 
@@ -285,12 +298,12 @@ func TestRouterFailover(t *testing.T) {
 	}
 	// Writes need the primary: they must fail... unless the directory
 	// still lists it up but transport unreachable.
-	if _, _, err := tc.router.Put("users", []byte("k2"), []byte("v2")); err == nil {
+	if _, _, err := put(tc.router, "users", []byte("k2"), []byte("v2")); err == nil {
 		t.Fatal("write succeeded with primary down")
 	}
 	// Down in the directory too: skip without calling.
 	tc.dir.MarkDown("n1")
-	if _, _, err := tc.router.Put("users", []byte("k3"), []byte("v3")); err == nil {
+	if _, _, err := put(tc.router, "users", []byte("k3"), []byte("v3")); err == nil {
 		t.Fatal("write succeeded with primary marked down")
 	}
 	// Both replicas down: reads fail.
@@ -310,7 +323,7 @@ func TestRouterScanAcrossPartitions(t *testing.T) {
 	// Load each partition's node with its share.
 	for i := 0; i < 100; i++ {
 		key := []byte(fmt.Sprintf("k-%02d", i))
-		if _, _, err := tc.router.Put("ns", key, []byte("v")); err != nil {
+		if _, _, err := put(tc.router, "ns", key, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -408,7 +421,7 @@ func TestGetBatchFallbackUnderCrashedNode(t *testing.T) {
 	tc.router.SetMap("ns", m)
 	keys := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
 	for i, k := range keys {
-		ver, _, err := tc.router.Put("ns", k, []byte("v"))
+		ver, _, err := put(tc.router, "ns", k, []byte("v"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,7 +454,7 @@ func TestGetBatchUnroutedKeysRetryThroughGet(t *testing.T) {
 	tc := newTestCluster(t, "n1")
 	m, _ := NewMap([]string{"n1"})
 	tc.router.SetMap("ns", m)
-	if _, _, err := tc.router.Put("ns", []byte("a"), []byte("v")); err != nil {
+	if _, _, err := put(tc.router, "ns", []byte("a"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	tc.dir.MarkDown("n1")
@@ -459,8 +472,10 @@ func TestGetBatchUnroutedKeysRetryThroughGet(t *testing.T) {
 }
 
 // TestWriteRetriesAcrossFailoverFlip pins the coordinator-side crash
-// contract: a Put against a down primary stalls in the down-retry loop
-// and succeeds as soon as a failover flip re-points the range.
+// contract on ApplyPrimary, the primitive every coordinator write
+// rides: an apply against a down primary stalls in the down-retry loop
+// and succeeds as soon as a failover flip re-points the range, and
+// reports the post-flip range so replication follows it.
 func TestWriteRetriesAcrossFailoverFlip(t *testing.T) {
 	tc := newTestCluster(t, "n1", "n2")
 	m, _ := NewMap([]string{"n1", "n2"})
@@ -473,14 +488,44 @@ func TestWriteRetriesAcrossFailoverFlip(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	ver, replicas, err := tc.router.Put("ns", []byte("k"), []byte("v"))
+	recs := []record.Record{{Key: []byte("k"), Value: []byte("v"), Version: 7}}
+	rng, err := tc.router.ApplyPrimary("ns", []byte("k"), recs)
 	if err != nil {
 		t.Fatalf("write across failover: %v", err)
 	}
-	if ver == 0 || len(replicas) != 1 || replicas[0] != "n2" {
-		t.Fatalf("write landed on %v", replicas)
+	if len(rng.Replicas) != 1 || rng.Replicas[0] != "n2" {
+		t.Fatalf("write landed on %v", rng.Replicas)
 	}
-	if v, _, found, err := tc.router.Get("ns", []byte("k"), ReadPrimary); err != nil || !found || string(v) != "v" {
-		t.Fatalf("read-back: %q %v %v", v, found, err)
+	if v, ver, found, err := tc.router.Get("ns", []byte("k"), ReadPrimary); err != nil || !found || string(v) != "v" || ver != 7 {
+		t.Fatalf("read-back: %q ver=%d %v %v", v, ver, found, err)
+	}
+}
+
+// TestApplyPrimaryWaitsOutFence: an apply into a range fenced for
+// migration handoff bounces, and ApplyPrimary retries under the fence
+// policy until the fence lifts.
+func TestApplyPrimaryWaitsOutFence(t *testing.T) {
+	tc := newTestCluster(t, "n1")
+	m, _ := NewMap([]string{"n1"})
+	tc.router.SetMap("ns", m)
+	fence := func(on bool) {
+		resp := tc.nodes["n1"].Serve(rpc.Request{Method: rpc.MethodRangeFence, Namespace: "ns", Fence: on})
+		if err := resp.Error(); err != nil {
+			t.Error(err)
+		}
+	}
+	fence(true)
+	if err := tc.router.Apply("ns", "n1", []record.Record{{Key: []byte("k"), Value: []byte("v"), Version: 1}}); !rpc.IsFenced(err) {
+		t.Fatalf("apply into fence = %v, want fence rejection", err)
+	}
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		fence(false)
+	}()
+	if _, err := tc.router.ApplyPrimary("ns", []byte("k"), []record.Record{{Key: []byte("k"), Value: []byte("v"), Version: 2}}); err != nil {
+		t.Fatalf("write across fence: %v", err)
+	}
+	if _, ver, found, err := tc.router.Get("ns", []byte("k"), ReadPrimary); err != nil || !found || ver != 2 {
+		t.Fatalf("read-back: ver=%d %v %v", ver, found, err)
 	}
 }

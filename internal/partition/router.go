@@ -283,22 +283,38 @@ func (r *Router) GetFrom(namespace, nodeID string, key []byte) ([]byte, uint64, 
 	return resp.Value, resp.Version, resp.Found, nil
 }
 
-// Put writes to the primary replica of key's range and returns the
-// assigned version together with the replica group, so the caller can
-// schedule asynchronous propagation to the remaining replicas.
-func (r *Router) Put(namespace string, key, value []byte) (version uint64, replicas []string, err error) {
-	return r.write(namespace, key, value, rpc.MethodPut)
+// Apply delivers pre-versioned records to one specific node — the
+// delivery primitive under the replication pump and ApplyPrimary. It
+// deliberately returns transport and node errors unclassified: the
+// callers own the retry budgets (ApplyPrimary waits out fences and
+// failovers under rpc.FenceRetryLimit / rpc.DownRetryBudget; the pump
+// reparks undelivered records), and classifying here would
+// double-charge a budget per attempt.
+func (r *Router) Apply(namespace, nodeID string, recs []record.Record) error {
+	addr, ok := r.addrOf(nodeID)
+	if !ok {
+		return ErrNoReplicaAvailable
+	}
+	resp, err := r.transport.Call(addr, rpc.Request{Method: rpc.MethodApply, Namespace: namespace, Records: recs})
+	if err != nil {
+		return err //lint:rpcretry-ok delivery primitive: ApplyPrimary and the pump classify this and own the retry budgets
+	}
+	return resp.Error() //lint:rpcretry-ok delivery primitive: callers classify fence/unreachable and own the retry budgets
 }
 
-// Delete tombstones key on the primary replica.
-func (r *Router) Delete(namespace string, key []byte) (version uint64, replicas []string, err error) {
-	return r.write(namespace, key, nil, rpc.MethodDelete)
-}
-
-func (r *Router) write(namespace string, key, value []byte, method string) (uint64, []string, error) {
+// ApplyPrimary delivers pre-versioned records to the primary of key's
+// range — the one write primitive every coordinator write rides. It
+// re-reads the partition map on each attempt and retries while the
+// primary is write-fenced for migration handoff (rpc.FenceRetryLimit),
+// unreachable or down (the repair manager's failover flip re-routes
+// the retry to the promoted replica), or shedding under its handler
+// bound (the retry-after hint), the last two under the wall-clock
+// rpc.DownRetryBudget. It returns the range that accepted the write,
+// so callers replicate to the replica set actually serving it.
+func (r *Router) ApplyPrimary(namespace string, key []byte, recs []record.Record) (Range, error) {
 	m, err := r.mapFor(namespace)
 	if err != nil {
-		return 0, nil, err
+		return Range{}, err
 	}
 	// Fence retries are counted separately from the wall-clock down
 	// budget: a write that waited out a crash failover must still get
@@ -308,70 +324,28 @@ func (r *Router) write(namespace string, key, value []byte, method string) (uint
 	fenceAttempts := 0
 	for {
 		rng := m.Lookup(key)
-		primary := rng.Replicas[0]
-		addr, ok := r.addrOf(primary)
-		if !ok {
-			// The primary is marked down. Each retry re-reads the
-			// partition map, so the first attempt after the repair
-			// manager's failover flip lands on the promoted replica.
-			// The budget is wall-clock (over TCP one attempt can burn
-			// a whole dial timeout).
-			if time.Now().Before(downDeadline) {
-				time.Sleep(rpc.DownRetryPause)
-				continue
-			}
-			return 0, nil, fmt.Errorf("%w: primary %s down", ErrNoReplicaAvailable, primary)
+		err := r.Apply(namespace, rng.Replicas[0], recs)
+		switch {
+		case err == nil:
+			return rng, nil
+		case rpc.IsFenced(err) && fenceAttempts < rpc.FenceRetryLimit:
+			// The fence lifts (or routing flips away from it) shortly;
+			// real sleep rather than a virtual clock, since the fence
+			// is held by a concurrent migration goroutine, not by time.
+			fenceAttempts++
+			time.Sleep(rpc.FenceRetryPause)
+		case IsUnavailable(err) && time.Now().Before(downDeadline):
+			// The primary crashed; wait out failure detection plus the
+			// failover flip (wall-clock budget: one TCP attempt can
+			// burn a whole dial timeout).
+			time.Sleep(rpc.DownRetryPause)
+		case rpc.IsOverloaded(err) && time.Now().Before(downDeadline):
+			// Backpressure delays the write, it does not fail it.
+			time.Sleep(rpc.RetryAfter(err))
+		default:
+			return rng, err
 		}
-		resp, err := r.transport.Call(addr, rpc.Request{Method: method, Namespace: namespace, Key: key, Value: value})
-		if err != nil {
-			// Unreachable before the directory noticed: same failover
-			// wait as a down primary.
-			if rpc.IsUnreachable(err) && time.Now().Before(downDeadline) {
-				time.Sleep(rpc.DownRetryPause)
-				continue
-			}
-			return 0, nil, err
-		}
-		if e := resp.Error(); e != nil {
-			if rpc.IsFenced(e) && fenceAttempts < rpc.FenceRetryLimit {
-				// The range is mid-handoff: each retry re-reads the
-				// partition map, so the first attempt after the flip
-				// lands on the new primary.
-				fenceAttempts++
-				time.Sleep(rpc.FenceRetryPause)
-				continue
-			}
-			if rpc.IsOverloaded(e) && time.Now().Before(downDeadline) {
-				// The primary shed the write under its handler bound:
-				// honor the retry-after hint under the shared
-				// wall-clock budget — backpressure delays the write,
-				// it does not fail it.
-				time.Sleep(rpc.RetryAfter(e))
-				continue
-			}
-			return 0, nil, e
-		}
-		return resp.Version, rng.Replicas, nil
 	}
-}
-
-// Apply delivers pre-versioned records to one specific node — the
-// delivery primitive under the replication pump and the coordinator
-// retry loops. It deliberately returns transport and node errors
-// unclassified: the callers own the retry budgets (applyToPrimary
-// waits out fences and failovers under rpc.FenceRetryLimit /
-// rpc.DownRetryBudget; the pump reparks undelivered records), and
-// classifying here would double-charge a budget per attempt.
-func (r *Router) Apply(namespace, nodeID string, recs []record.Record) error {
-	addr, ok := r.addrOf(nodeID)
-	if !ok {
-		return ErrNoReplicaAvailable
-	}
-	resp, err := r.transport.Call(addr, rpc.Request{Method: rpc.MethodApply, Namespace: namespace, Records: recs})
-	if err != nil {
-		return err //lint:rpcretry-ok delivery primitive: applyToPrimary/write-path loops and the pump classify this and own the retry budgets
-	}
-	return resp.Error() //lint:rpcretry-ok delivery primitive: callers classify fence/unreachable and own the retry budgets
 }
 
 // SetScanParallelism bounds how many per-range sub-scans one scan fans

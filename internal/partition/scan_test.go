@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"scads/internal/record"
+	"scads/internal/row"
 	"scads/internal/rpc"
 )
 
@@ -19,7 +20,7 @@ func loadScanData(t *testing.T, tc *testCluster, namespace string, n int) [][]by
 	for i := 0; i < n; i++ {
 		key := []byte(fmt.Sprintf("k-%04d", i))
 		keys[i] = key
-		if _, _, err := tc.router.Put(namespace, key, []byte("v")); err != nil {
+		if _, _, err := put(tc.router, namespace, key, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -258,7 +259,17 @@ func TestScanPushdownReachesNodes(t *testing.T) {
 	router := NewRouter(rec, tc.dir)
 	router.SetMap("ns", m)
 	tc.router.SetMap("ns", m)
-	loadScanData(t, tc, "ns", 30) // via the plain router path
+	// Decodable rows: a sub-scan that failed to decode would cut the
+	// fan-out short before the second sub-scan is issued.
+	for i := 0; i < 30; i++ {
+		val, err := row.Encode(row.Row{"name": "n", "age": int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := put(tc.router, "ns", []byte(fmt.Sprintf("k-%04d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	opts := ScanOptions{
 		Limit:      100,
@@ -266,10 +277,9 @@ func TestScanPushdownReachesNodes(t *testing.T) {
 		Projection: []string{"name"},
 		Preds:      []rpc.ScanPred{{Column: "age", Op: rpc.PredGe, Value: []byte{0x10}}},
 	}
-	// Values are opaque bytes (not encoded rows), so the nodes will
-	// fail to decode them — the point here is only the request shape;
-	// error content is checked at the cluster layer.
-	_, _ = router.ScanOpts("ns", nil, nil, opts)
+	if _, err := router.ScanOpts("ns", nil, nil, opts); err != nil {
+		t.Fatal(err)
+	}
 	if scans.Load() < 2 {
 		t.Fatalf("expected >=2 sub-scans, saw %d", scans.Load())
 	}

@@ -678,26 +678,30 @@ func FormatMaintenanceTable(entries []MaintenanceEntry) string {
 // (effective name → row).
 func EncodeEntryKey(def *IndexDef, rows map[string]row.Row) ([]byte, error) {
 	var key []byte
-	var err error
 	for _, kc := range def.KeyCols {
 		r, ok := rows[kc.Source]
 		if !ok {
 			return nil, fmt.Errorf("planner: index %s: no row for source %q", def.Name, kc.Source)
 		}
-		v, ok := r[kc.Column]
-		if !ok {
-			return nil, fmt.Errorf("planner: index %s: row for %q lacks column %q", def.Name, kc.Source, kc.Column)
-		}
-		if kc.Desc {
-			key, err = keycodec.AppendDesc(key, v)
-		} else {
-			key, err = keycodec.Append(key, v)
-		}
-		if err != nil {
-			return nil, err
+		var err error
+		if key, err = kc.Append(key, r); err != nil {
+			return nil, fmt.Errorf("planner: index %s: %w", def.Name, err)
 		}
 	}
 	return key, nil
+}
+
+// Append appends r's value of the key column to dst, complement-encoded
+// for a DESC column.
+func (kc KeyCol) Append(dst []byte, r row.Row) ([]byte, error) {
+	v, ok := r[kc.Column]
+	if !ok {
+		return nil, fmt.Errorf("row for %q lacks column %q", kc.Source, kc.Column)
+	}
+	if kc.Desc {
+		return keycodec.AppendDesc(dst, v)
+	}
+	return keycodec.Append(dst, v)
 }
 
 // BuildEntryValue materialises the index entry's stored row.

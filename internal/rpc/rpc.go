@@ -5,10 +5,13 @@
 // latency used by the cluster simulator.
 //
 // The protocol is deliberately small — the paper's storage interface is
-// point get/put/delete, bounded range scan, and the replication apply
-// path. Every storage node, the router, and the replication pump speak
-// through the Transport interface, so experiments can swap real sockets
-// for simulated ones without touching any other layer.
+// point get, bounded range scan, and one write verb: MethodApply
+// delivers records the coordinator has already versioned (a delete is
+// a tombstone record), whether to a range's primary or, through the
+// replication pump, to its secondaries. Every storage node, the
+// router, and the replication pump speak through the Transport
+// interface, so experiments can swap real sockets for simulated ones
+// without touching any other layer.
 //
 // Request coalescing: MethodBatch is an envelope carrying independent
 // sub-requests (Request.Batch) answered positionally (Response.Batch).
@@ -33,12 +36,17 @@ import (
 
 // Method names understood by storage nodes.
 const (
-	MethodPing      = "ping"
-	MethodGet       = "get"
+	MethodPing = "ping"
+	MethodGet  = "get"
+	// MethodPut and MethodDelete named node-versioned single-key
+	// writes. No node serves them any more (every write is a
+	// MethodApply); the names and their wire codes stay reserved so an
+	// old peer's frame decodes to a method the node rejects, and the
+	// codes are never reused.
 	MethodPut       = "put"
 	MethodDelete    = "delete"
 	MethodScan      = "scan"
-	MethodApply     = "apply"     // replication: apply pre-versioned records
+	MethodApply     = "apply"     // apply pre-versioned records (primary writes and replication)
 	MethodDropRange = "droprange" // partition move cleanup
 	MethodStats     = "stats"
 	MethodBatch     = "batch" // envelope: independent sub-requests answered positionally
@@ -225,9 +233,9 @@ func IsFenced(err error) bool {
 // writers that hit a fence: re-read the partition map and retry, up to
 // this many attempts with this pause between them. A fence pause
 // covers one final delta drain plus the routing flip, so the bound is
-// generous; every fenced write path (coordinator applies, router
-// put/delete) uses the same policy so migration-time write behavior is
-// uniform.
+// generous; every fenced write (partition.Router.ApplyPrimary, under
+// every coordinator write) uses the same policy so migration-time
+// write behavior is uniform.
 const (
 	FenceRetryLimit = 400
 	FenceRetryPause = time.Millisecond

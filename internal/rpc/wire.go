@@ -95,7 +95,9 @@ const (
 
 // Method codes keep the hot field to one byte. Code 0 escapes to an
 // inline string for methods the table does not know (forward
-// compatibility for coordinator-served admin methods).
+// compatibility for coordinator-served admin methods). Codes 3 and 4
+// (MethodPut, MethodDelete) are reserved: no node serves them, and no
+// other method may take them.
 var methodCodes = map[string]byte{
 	MethodPing:          1,
 	MethodGet:           2,

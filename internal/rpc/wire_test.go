@@ -133,6 +133,28 @@ func TestWireUnknownMethodString(t *testing.T) {
 	}
 }
 
+// TestWireMethodTablesAgree: every coded method decodes back to its
+// name, every named code encodes back to its code, and the retired
+// write verbs keep codes 3 and 4 so no other method can reuse them.
+func TestWireMethodTablesAgree(t *testing.T) {
+	named := 0
+	for code, name := range methodNames {
+		if name == "" {
+			continue
+		}
+		named++
+		if got, ok := methodCodes[name]; !ok || int(got) != code {
+			t.Errorf("methodNames[%d] = %q, but methodCodes[%q] = %d (present %v)", code, name, name, got, ok)
+		}
+	}
+	if named != len(methodCodes) {
+		t.Errorf("methodNames names %d methods, methodCodes codes %d", named, len(methodCodes))
+	}
+	if methodNames[3] != MethodPut || methodNames[4] != MethodDelete {
+		t.Errorf("reserved codes reused: 3 = %q, 4 = %q", methodNames[3], methodNames[4])
+	}
+}
+
 // randomRequest builds a randomized request; depth bounds batch
 // nesting.
 func randomRequest(rng *rand.Rand, depth int) Request {

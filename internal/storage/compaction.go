@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 
-	"scads/internal/record"
 	"scads/internal/sstable"
 )
 
@@ -202,26 +201,14 @@ func (j *tierJob) run() {
 		RateLimitBytesPerSec: ns.engine.opts.CompactionRateBytes,
 		Clock:                ns.engine.opts.Clock,
 		Cancel:               cancelled,
-	}
-	if len(j.exclByIdx) > 0 {
-		excl := j.exclByIdx
-		opts.Drop = func(src int, rec record.Record) bool {
-			for _, r := range excl[src] {
-				if r.contains(rec.Key) {
-					return true
-				}
-			}
-			return false
-		}
+		Drop:                 excludedDrop(j.exclByIdx),
 	}
 	merged, err := sstable.Merge(ns.tablePath(j.seq), opts, j.tables...)
 	if err != nil {
 		j.abort(err)
 		return
 	}
-	if bc := ns.engine.blockCache; bc != nil {
-		merged.SetBlockCache(bc)
-	}
+	ns.serveTable(merged)
 
 	ns.mu.Lock()
 	i := tableIndex(ns.tables, j.tables[0])

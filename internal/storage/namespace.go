@@ -591,18 +591,40 @@ func (ns *Namespace) flushLocked() error {
 	return nil
 }
 
-// openTable opens a finished SSTable and attaches the engine's shared
-// block cache. Every table the namespace serves reads from must be
-// opened through here.
+// openTable opens a finished SSTable for serving.
 func (ns *Namespace) openTable(path string) (*sstable.Reader, error) {
 	rd, err := sstable.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	ns.serveTable(rd)
+	return rd, nil
+}
+
+// serveTable attaches the engine's shared block cache to a table the
+// namespace is about to serve reads from. Every served table — opened
+// from disk or fresh out of a merge — passes through here.
+func (ns *Namespace) serveTable(rd *sstable.Reader) {
 	if bc := ns.engine.blockCache; bc != nil {
 		rd.SetBlockCache(bc)
 	}
-	return rd, nil
+}
+
+// excludedDrop is the merge filter that drops each input table's
+// records under its truncation exclusions (exclByIdx maps input index
+// to ranges); nil when no input has any.
+func excludedDrop(exclByIdx map[int][]keyRange) func(src int, rec record.Record) bool {
+	if len(exclByIdx) == 0 {
+		return nil
+	}
+	return func(src int, rec record.Record) bool {
+		for _, r := range exclByIdx[src] {
+			if r.contains(rec.Key) {
+				return true
+			}
+		}
+		return false
+	}
 }
 
 func (ns *Namespace) clearFlushing() {
@@ -738,24 +760,12 @@ func (ns *Namespace) compactLocked() error {
 	ns.tableSeq++
 	ns.mu.Unlock()
 
-	opts := sstable.MergeOptions{DropTombstones: true}
-	if len(exclByIdx) > 0 {
-		opts.Drop = func(src int, rec record.Record) bool {
-			for _, r := range exclByIdx[src] {
-				if r.contains(rec.Key) {
-					return true
-				}
-			}
-			return false
-		}
-	}
+	opts := sstable.MergeOptions{DropTombstones: true, Drop: excludedDrop(exclByIdx)}
 	merged, err := sstable.Merge(ns.tablePath(seq), opts, tables...)
 	if err != nil {
 		return fmt.Errorf("storage: compact %s: %w", ns.name, err)
 	}
-	if bc := ns.engine.blockCache; bc != nil {
-		merged.SetBlockCache(bc)
-	}
+	ns.serveTable(merged)
 
 	ns.mu.Lock()
 	// Tables flushed while we merged sit in front of the ones we

@@ -9,7 +9,9 @@
 package view
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"scads/internal/keycodec"
 	"scads/internal/planner"
@@ -24,6 +26,9 @@ type Store interface {
 	GetRow(namespace string, key []byte) (row.Row, bool, error)
 	// ScanRows returns up to limit live rows with start <= key < end.
 	ScanRows(namespace string, start, end []byte, limit int) ([]row.Row, error)
+	// ScanKeys returns the keys of up to limit live rows with
+	// start <= key < end.
+	ScanKeys(namespace string, start, end []byte, limit int) ([][]byte, error)
 }
 
 // Mutation is one index-entry change. A nil Value deletes the entry.
@@ -122,20 +127,12 @@ func (e *Engine) singleTable(def *planner.IndexDef, oldRow, newRow row.Row, acc 
 }
 
 // drivingSide maintains a join view when the driving (FROM) table
-// changes: look up the joined row(s) for the old and new join values
-// and rewrite the affected entries.
+// changes: retire the old row's entries, then look up the joined
+// row(s) for the new join value and write its entries.
 func (e *Engine) drivingSide(def *planner.IndexDef, oldRow, newRow row.Row, acc *mutationSet) error {
 	if oldRow != nil {
-		joined, err := e.lookupJoined(def, oldRow)
-		if err != nil {
+		if err := e.retireDriving(def, oldRow, acc); err != nil {
 			return err
-		}
-		for _, lr := range joined {
-			key, err := planner.EncodeEntryKey(def, map[string]row.Row{def.DrivingEff: oldRow, def.LookedEff: lr})
-			if err != nil {
-				return err
-			}
-			acc.delete(def.Namespace, key)
 		}
 	}
 	if newRow != nil {
@@ -156,6 +153,99 @@ func (e *Engine) drivingSide(def *planner.IndexDef, oldRow, newRow row.Row, acc 
 		}
 	}
 	return nil
+}
+
+// retireDriving deletes every entry the driving row old owns. Entry
+// keys can embed looked-row columns (ORDER BY p.birthday, a prefix
+// join's looked key) as they were when the entry was last maintained,
+// and the looked row may have changed since: a friend's birthday
+// edited after an unfriend is acked but before its maintenance runs.
+// Recomputing the key from the looked row's current image would miss
+// the entry, and once old is gone from the base table the looked
+// side's maintenance cannot reach it either. So the entries are found
+// by scanning the range fixed by old's leading key columns (bounded by
+// the declared cardinalities) and matching old's own columns.
+func (e *Engine) retireDriving(def *planner.IndexDef, old row.Row, acc *mutationSet) error {
+	var prefix []byte
+	n := 0
+	for ; n < len(def.KeyCols) && def.KeyCols[n].Source == def.DrivingEff; n++ {
+		var err error
+		if prefix, err = def.KeyCols[n].Append(prefix, old); err != nil {
+			return fmt.Errorf("view: %s: %w", def.Name, err)
+		}
+	}
+	if n == len(def.KeyCols) {
+		acc.delete(def.Namespace, prefix) // the key is old's alone
+		return nil
+	}
+	bound, err := e.prefixBound(def, def.KeyCols[:n])
+	if err != nil {
+		return err
+	}
+	keys, err := e.store.ScanKeys(def.Namespace, prefix, keycodec.PrefixEnd(prefix), bound+1)
+	if err != nil {
+		return err
+	}
+	if len(keys) > bound {
+		return fmt.Errorf("%w: %s: more than %d entries share a driving key prefix",
+			ErrCardinalityViolated, def.Name, bound)
+	}
+	for _, key := range keys {
+		owned, err := ownsEntry(def, old, def.KeyCols[n:], key[len(prefix):])
+		if err != nil {
+			return fmt.Errorf("view: %s: %w", def.Name, err)
+		}
+		if owned {
+			acc.delete(def.Namespace, key)
+		}
+	}
+	return nil
+}
+
+// prefixBound bounds the entries sharing values of the driving key
+// columns cols: the driving rows those values match (one when they
+// cover the primary key, else the tightest declared CARDINALITY) times
+// the looked rows each joins.
+func (e *Engine) prefixBound(def *planner.IndexDef, cols []planner.KeyCol) (int, error) {
+	driving := e.schema.Tables[def.Driving]
+	rows, pkCols := 0, 0
+	for _, kc := range cols {
+		if slices.Contains(driving.PrimaryKey, kc.Column) {
+			pkCols++
+		}
+		if card, ok := driving.Cardinality[kc.Column]; ok && (rows == 0 || card < rows) {
+			rows = card
+		}
+	}
+	if pkCols == len(driving.PrimaryKey) {
+		rows = 1
+	}
+	if rows == 0 {
+		return 0, fmt.Errorf("view: %s: no cardinality bound on the driving key prefix", def.Name)
+	}
+	return rows * def.LookedFanout, nil
+}
+
+// ownsEntry reports whether rest, an entry key's columns cols, holds
+// old's value in every driving-sourced column.
+func ownsEntry(def *planner.IndexDef, old row.Row, cols []planner.KeyCol, rest []byte) (bool, error) {
+	for _, kc := range cols {
+		n, err := keycodec.Len(rest, kc.Desc)
+		if err != nil {
+			return false, err
+		}
+		if kc.Source == def.DrivingEff {
+			want, err := kc.Append(nil, old)
+			if err != nil {
+				return false, err
+			}
+			if !bytes.Equal(rest[:n], want) {
+				return false, nil
+			}
+		}
+		rest = rest[n:]
+	}
+	return true, nil
 }
 
 // lookedSide maintains a join view when the looked-up (joined) table

@@ -28,7 +28,7 @@ func (s *mapStore) GetRow(ns string, key []byte) (row.Row, bool, error) {
 	return r, ok, nil
 }
 
-func (s *mapStore) ScanRows(ns string, start, end []byte, limit int) ([]row.Row, error) {
+func (s *mapStore) ScanKeys(ns string, start, end []byte, limit int) ([][]byte, error) {
 	keys := make([]string, 0)
 	for k := range s.data[ns] {
 		if k >= string(start) && (end == nil || k < string(end)) {
@@ -36,14 +36,23 @@ func (s *mapStore) ScanRows(ns string, start, end []byte, limit int) ([]row.Row,
 		}
 	}
 	sort.Strings(keys)
-	var out []row.Row
+	var out [][]byte
 	for _, k := range keys {
 		if len(out) >= limit {
 			break
 		}
-		out = append(out, s.data[ns][k])
+		out = append(out, []byte(k))
 	}
 	return out, nil
+}
+
+func (s *mapStore) ScanRows(ns string, start, end []byte, limit int) ([]row.Row, error) {
+	keys, err := s.ScanKeys(ns, start, end, limit)
+	out := make([]row.Row, len(keys))
+	for i, k := range keys {
+		out[i] = s.data[ns][string(k)]
+	}
+	return out, err
 }
 
 func (s *mapStore) apply(muts []Mutation) {

@@ -228,6 +228,35 @@ func TestJoinViewQueryEndToEnd(t *testing.T) {
 	}
 }
 
+// TestUnfriendRetiresJoinEntryAfterFriendEdit: the friend's birthday
+// changes after an unfriend is acked but before its maintenance runs.
+// The unfriend must still retire the entry written under the old
+// birthday; by then the friendship is gone from the base table, so the
+// birthday edit's maintenance cannot find the entry either.
+func TestUnfriendRetiresJoinEntryAfterFriendEdit(t *testing.T) {
+	lc, _ := newSocialCluster(t, 3, 2)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(lc.Insert("users", Row{"id": "a", "name": "A", "birthday": 10}))
+	must(lc.Insert("users", Row{"id": "b", "name": "B", "birthday": 10}))
+	must(lc.Insert("friendships", Row{"f1": "a", "f2": "b"}))
+	must(lc.FlushAll())
+	must(lc.Delete("friendships", Row{"f1": "a", "f2": "b"}))
+	must(lc.Insert("users", Row{"id": "b", "name": "B", "birthday": 20}))
+	must(lc.FlushAll())
+	rows, err := lc.Query("friendsWithUpcomingBirthdays", map[string]any{"user": "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 0 {
+		t.Fatalf("unfriended b still in a's view: %v", rows)
+	}
+}
+
 func TestMaintenanceIsAsynchronous(t *testing.T) {
 	lc, _ := newSocialCluster(t, 2, 1)
 	lc.Insert("users", Row{"id": "bob", "name": "Bob", "birthday": 5})
@@ -706,9 +735,16 @@ func TestUpdateFuncDeleteAndAbsent(t *testing.T) {
 	}); !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v", err)
 	}
-	// Delete of an absent row is a no-op, not an error.
+	// Delete of an absent row is a no-op, not an error: it writes no
+	// tombstone, so it enqueues no maintenance either.
+	if err := lc.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
 	if err := lc.Delete("users", Row{"id": "ghost"}); err != nil {
 		t.Fatal(err)
+	}
+	if pending, _ := lc.MaintenanceBacklog(time.Hour); pending != 0 {
+		t.Fatalf("delete of an absent row enqueued %d maintenance tasks", pending)
 	}
 }
 

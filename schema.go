@@ -227,6 +227,18 @@ func (s *coordStore) GetRow(namespace string, key []byte) (row.Row, bool, error)
 	return r, true, nil
 }
 
+func (s *coordStore) ScanKeys(namespace string, start, end []byte, limit int) ([][]byte, error) {
+	recs, err := s.c.router.Scan(namespace, start, end, limit, partition.ReadPrimary)
+	if err != nil {
+		return nil, err
+	}
+	keys := make([][]byte, len(recs))
+	for i, rec := range recs {
+		keys[i] = rec.Key
+	}
+	return keys, nil
+}
+
 func (s *coordStore) ScanRows(namespace string, start, end []byte, limit int) ([]row.Row, error) {
 	recs, err := s.c.router.Scan(namespace, start, end, limit, partition.ReadPrimary)
 	if err != nil {

@@ -3,6 +3,7 @@ package scads
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -29,35 +30,8 @@ func (c *Cluster) Insert(table string, r row.Row) error {
 // It returns the version assigned to the write, the session floor for
 // read-your-writes.
 func (c *Cluster) insertAs(table string, r row.Row, tenant string) (uint64, error) {
-	start := c.clk.Now()
-	var ver uint64
-	release, err := c.admitWrite(table, r, tenant, 1)
-	if err == nil {
-		ver, err = c.write(table, r, writeUpsert)
-	}
-	release()
-	c.record(start, err)
-	return ver, err
-}
-
-// admitWrite gates one keyed write through the admission controller.
-// Shed writes still record their load against the balancer's tracker
-// so sustained skew triggers rebalancing instead of vanishing behind
-// the front door. The returned release is always safe to call.
-func (c *Cluster) admitWrite(table string, pk row.Row, tenant string, cost float64) (func(), error) {
-	release, err := c.admit(tenant, admission.OpWrite, cost)
-	if err == nil {
-		return release, nil
-	}
-	if t, terr := c.tableDef(table); terr == nil {
-		if key, kerr := pkKey(t, pk); kerr == nil {
-			ns := planner.TableNamespace(table)
-			if m, ok := c.router.Map(ns); ok {
-				c.loads.Record(ns, m.Lookup(key).Start, key)
-			}
-		}
-	}
-	return release, err
+	rows := []row.Row{r}
+	return c.admitted(table, rows, tenant, func() (uint64, error) { return c.upsert(table, rows) })
 }
 
 // Update applies a full-row write with the same semantics as Insert
@@ -66,179 +40,20 @@ func (c *Cluster) Update(table string, r row.Row) error {
 	return c.Insert(table, r)
 }
 
-// InsertBatch stores many rows in one coordinator pass: rows are
-// normalized and versioned together, current row images are fetched
-// with one batched read per node, and the new records are delivered
-// as one multi-record apply per primary (one RPC, one WAL write, and
-// — on engines with synchronous writes — one shared group-commit
-// fsync). Replication and asynchronous index maintenance are enqueued
-// per row exactly as Insert does, so consistency semantics are
-// unchanged; tables whose spec declares serializable or merge write
-// modes fall back to the per-row conflict-aware path.
+// InsertBatch stores many rows in one coordinator pass: one admission
+// at the batch's row count, current row images fetched with one
+// batched read per node, and the new records delivered as one
+// multi-record apply per primary (one RPC, one WAL write, and — on
+// engines with synchronous writes — one shared group-commit fsync).
+// Replication and index maintenance follow per row exactly as for
+// Insert; tables declaring serializable or merge writes take the
+// per-row conflict-aware path.
 func (c *Cluster) InsertBatch(table string, rows []row.Row) error {
-	start := c.clk.Now()
-	err := c.insertBatch(table, rows)
-	c.record(start, err)
-	return err
-}
-
-func (c *Cluster) insertBatch(table string, rows []row.Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	// One admission for the whole batch at its row-count cost; the
-	// conflict-aware fallback below goes through c.write directly
-	// (not Insert), so the batch is never double-charged.
-	release, err := c.admit("", admission.OpWrite, float64(len(rows)))
-	if err != nil {
-		if t, terr := c.tableDef(table); terr == nil {
-			ns := planner.TableNamespace(table)
-			if m, ok := c.router.Map(ns); ok {
-				for _, r := range rows {
-					if key, kerr := pkKey(t, r); kerr == nil {
-						c.loads.Record(ns, m.Lookup(key).Start, key)
-					}
-				}
-			}
-		}
-		return err
-	}
-	defer release()
-	t, err := c.tableDef(table)
-	if err != nil {
-		return err
-	}
-	spec := c.specFor(table)
-	if spec.Write == consistency.Serializable || spec.Write == consistency.MergeFunction {
-		// Conflict-aware modes need an atomic read-modify-write per
-		// row; the transport-level batcher still coalesces their RPCs.
-		for _, r := range rows {
-			if _, err := c.write(table, r, writeUpsert); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	ns := planner.TableNamespace(table)
-	m, ok := c.router.Map(ns)
-	if !ok {
-		return fmt.Errorf("scads: no partition map for %s", ns)
-	}
-
-	normalized := make([]row.Row, len(rows))
-	keys := make([][]byte, len(rows))
-	for i, r := range rows {
-		nr, err := c.normalizeRow(t, r)
-		if err != nil {
-			return err
-		}
-		key, err := pkKey(t, nr)
-		if err != nil {
-			return err
-		}
-		normalized[i], keys[i] = nr, key
-	}
-
-	// Index maintenance needs each row's old image to retire stale
-	// index entries; fetch them all with one batched read per node.
-	curs, err := c.router.GetBatch(ns, keys, partition.ReadPrimary)
-	if err != nil {
-		return err
-	}
-
-	bound := c.stalenessBound(t.Name)
-	type followUp struct {
-		rec      record.Record
-		replicas []string
-		oldRow   row.Row
-		newRow   row.Row
-	}
-	groups := make(map[string][]followUp) // primary node -> its rows
-	// Later duplicates of a key within the batch must see the earlier
-	// row as their old image, or index maintenance would never retire
-	// the entries the earlier write created.
-	prevInBatch := make(map[string]row.Row)
-	for i, nr := range normalized {
-		if curs[i].Err != nil {
-			return curs[i].Err
-		}
-		var oldRow row.Row
-		if curs[i].Found {
-			if oldRow, err = row.Decode(curs[i].Value); err != nil {
-				return err
-			}
-		}
-		if prev, ok := prevInBatch[string(keys[i])]; ok {
-			oldRow = prev
-		}
-		prevInBatch[string(keys[i])] = nr
-		val, err := row.Encode(nr)
-		if err != nil {
-			return err
-		}
-		rec := record.Record{Key: keys[i], Value: val, Version: c.nextVersion()}
-		rng := m.Lookup(keys[i])
-		c.loads.Record(ns, rng.Start, keys[i])
-		groups[rng.Replicas[0]] = append(groups[rng.Replicas[0]],
-			followUp{rec: rec, replicas: rng.Replicas, oldRow: oldRow, newRow: nr})
-	}
-	// Apply the node groups concurrently. Replication and index
-	// maintenance for a group are enqueued as soon as that group's
-	// primary write lands — a failure of one node's group never
-	// strands another group's applied records without follow-up.
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for node, ups := range groups {
-		wg.Add(1)
-		go func(node string, ups []followUp) {
-			defer wg.Done()
-			recs := make([]record.Record, len(ups))
-			for i, u := range ups {
-				recs[i] = u.rec
-			}
-			if err := c.router.Apply(ns, node, recs); err != nil {
-				if !rpc.IsFenced(err) && !partition.IsUnavailable(err) {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				// The group hit a range mid-handoff or a crashed
-				// primary: fall back to per-record routing, which
-				// re-reads the map and waits out the fence or the
-				// failover. Replicas are re-captured from the
-				// post-flip ranges so replication follows the writes.
-				for i := range ups {
-					rng, err := c.applyToPrimary(ns, m, ups[i].rec.Key, []record.Record{ups[i].rec})
-					if err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-						return
-					}
-					ups[i].replicas = rng.Replicas
-				}
-			}
-			for _, u := range ups {
-				c.enqueueReplication(ns, m, u.rec.Key, u.rec, partition.Range{Replicas: u.replicas}, bound)
-				c.maint.push(maintTask{
-					table:    t.Name,
-					oldRow:   u.oldRow,
-					newRow:   u.newRow,
-					deadline: c.clk.Now().Add(bound),
-				})
-			}
-		}(node, ups)
-	}
-	wg.Wait()
-	return firstErr
+	_, err := c.admitted(table, rows, "", func() (uint64, error) { return c.upsert(table, rows) })
+	return err
 }
 
 // UpdateFunc performs an atomic read-modify-write of the row with the
@@ -248,51 +63,20 @@ func (c *Cluster) insertBatch(table string, rows []row.Row) error {
 // traditional RDBMS"; under other modes it is still atomic with
 // respect to other UpdateFunc calls through this coordinator.
 func (c *Cluster) UpdateFunc(table string, pk row.Row, fn func(cur row.Row) (row.Row, error)) error {
-	start := c.clk.Now()
-	err := c.updateFunc(table, pk, fn)
-	c.record(start, err)
-	return err
-}
-
-func (c *Cluster) updateFunc(table string, pk row.Row, fn func(cur row.Row) (row.Row, error)) error {
-	release, err := c.admitWrite(table, pk, "", 1)
-	if err != nil {
-		release()
-		return err
-	}
-	defer release()
-	t, err := c.tableDef(table)
-	if err != nil {
-		return err
-	}
-	key, err := pkKey(t, pk)
-	if err != nil {
-		return err
-	}
-	ns := planner.TableNamespace(table)
-	return c.serializer.Do(ns, key, func() error {
-		cur, _, err := c.readRow(ns, key)
+	_, err := c.admitted(table, []row.Row{pk}, "", func() (uint64, error) {
+		t, key, err := c.tableKey(table, pk)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		next, err := fn(cur)
-		if err != nil {
-			return err
-		}
-		if next == nil {
-			if cur == nil {
-				return nil
+		return c.readModifyWrite(t, key, func(cur row.Row) (row.Row, error) {
+			next, err := fn(cur)
+			if err != nil || next == nil {
+				return nil, err
 			}
-			_, err := c.applyWrite(t, key, cur, nil)
-			return err
-		}
-		normalized, err := c.normalizeRow(t, next)
-		if err != nil {
-			return err
-		}
-		_, err = c.applyWrite(t, key, cur, normalized)
-		return err
+			return c.normalizeRow(t, next)
+		})
 	})
+	return err
 }
 
 // Delete tombstones the row with the given primary key.
@@ -305,95 +89,269 @@ func (c *Cluster) Delete(table string, pk row.Row) error {
 // session's bound tenant here). It returns the tombstone's version (0
 // when the row did not exist and nothing was written).
 func (c *Cluster) deleteAs(table string, pk row.Row, tenant string) (uint64, error) {
+	return c.admitted(table, []row.Row{pk}, tenant, func() (uint64, error) {
+		t, key, err := c.tableKey(table, pk)
+		if err != nil {
+			return 0, err
+		}
+		return c.readModifyWrite(t, key, func(row.Row) (row.Row, error) { return nil, nil })
+	})
+}
+
+// admitted runs write through the admission controller at a cost of
+// one per row and records its latency. Shed writes still record their
+// load against the balancer's tracker, so sustained skew triggers
+// rebalancing instead of vanishing behind the front door.
+func (c *Cluster) admitted(table string, rows []row.Row, tenant string, write func() (uint64, error)) (uint64, error) {
 	start := c.clk.Now()
 	var ver uint64
-	release, err := c.admitWrite(table, pk, tenant, 1)
+	release, err := c.admit(tenant, admission.OpWrite, float64(len(rows)))
 	if err == nil {
-		ver, err = c.delete(table, pk)
+		ver, err = write()
+		release()
+	} else if t, terr := c.tableDef(table); terr == nil {
+		ns := planner.TableNamespace(table)
+		if m, ok := c.router.Map(ns); ok {
+			for _, r := range rows {
+				if key, kerr := pkKey(t, r); kerr == nil {
+					c.loads.Record(ns, m.Lookup(key).Start, key)
+				}
+			}
+		}
 	}
-	release()
 	c.record(start, err)
 	return ver, err
 }
 
-func (c *Cluster) delete(table string, pk row.Row) (uint64, error) {
+// tableKey resolves a table and the storage key of a primary key.
+func (c *Cluster) tableKey(table string, pk row.Row) (*query.TableDef, []byte, error) {
+	t, err := c.tableDef(table)
+	if err != nil {
+		return nil, nil, err
+	}
+	key, err := pkKey(t, pk)
+	return t, key, err
+}
+
+// upsert writes full rows under the table's write mode and returns the
+// version assigned to the last one. Last-write-wins takes no
+// serializer: it reads every row's current image (the old image index
+// maintenance retires) and applies the batch in one pass. Serializable
+// and merge writes need the current value atomically, so each row is
+// a read-modify-write under the serializer.
+func (c *Cluster) upsert(table string, rows []row.Row) (uint64, error) {
 	t, err := c.tableDef(table)
 	if err != nil {
 		return 0, err
 	}
-	key, err := pkKey(t, pk)
-	if err != nil {
-		return 0, err
+	changes := make([]change, len(rows))
+	for i, r := range rows {
+		nr, err := c.normalizeRow(t, r)
+		if err != nil {
+			return 0, err
+		}
+		key, err := pkKey(t, nr)
+		if err != nil {
+			return 0, err
+		}
+		changes[i] = change{key: key, newRow: nr}
 	}
-	ns := planner.TableNamespace(table)
+	spec := c.specFor(table)
+	if spec.Write != consistency.Serializable && spec.Write != consistency.MergeFunction {
+		if err := c.readOldImages(planner.TableNamespace(table), changes); err != nil {
+			return 0, err
+		}
+		return c.applyChanges(t, changes)
+	}
 	var ver uint64
-	err = c.serializer.Do(ns, key, func() error {
+	for _, ch := range changes {
+		ver, err = c.readModifyWrite(t, ch.key, func(cur row.Row) (row.Row, error) {
+			if spec.Write == consistency.MergeFunction && cur != nil {
+				return c.mergeRows(spec.MergeName, cur, ch.newRow)
+			}
+			return ch.newRow, nil
+		})
+		if err != nil {
+			return 0, err
+		}
+	}
+	return ver, nil
+}
+
+// readModifyWrite atomically replaces the row at key with fn(current)
+// under the serializer: fn receives the current row (nil if absent)
+// and returns the replacement, nil to delete. Deleting a missing row
+// writes nothing and returns version 0.
+func (c *Cluster) readModifyWrite(t *query.TableDef, key []byte, fn func(cur row.Row) (row.Row, error)) (uint64, error) {
+	ns := planner.TableNamespace(t.Name)
+	var ver uint64
+	err := c.serializer.Do(ns, key, func() error {
 		cur, _, err := c.readRow(ns, key)
 		if err != nil {
 			return err
 		}
-		if cur == nil {
-			return nil
+		next, err := fn(cur)
+		if err != nil || (next == nil && cur == nil) {
+			return err
 		}
-		ver, err = c.applyWrite(t, key, cur, nil)
+		ver, err = c.applyChanges(t, []change{{key: key, oldRow: cur, newRow: next}})
 		return err
 	})
 	return ver, err
 }
 
-type writeKind int
-
-const (
-	writeUpsert writeKind = iota
-)
-
-// write implements Insert/Update: mode-dependent conflict handling,
-// then the common apply path. It returns the version assigned to the
-// write.
-func (c *Cluster) write(table string, r row.Row, _ writeKind) (uint64, error) {
-	t, err := c.tableDef(table)
-	if err != nil {
-		return 0, err
+// readOldImages fills each change's old row from its primary: one
+// point read for a single row, one batched read per node for a batch.
+// A later change to a key earlier in the batch takes the earlier
+// change's new row as its old image, or index maintenance would never
+// retire the entries the earlier write creates.
+func (c *Cluster) readOldImages(ns string, changes []change) error {
+	if len(changes) == 1 {
+		cur, _, err := c.readRow(ns, changes[0].key)
+		changes[0].oldRow = cur
+		return err
 	}
-	normalized, err := c.normalizeRow(t, r)
-	if err != nil {
-		return 0, err
+	keys := make([][]byte, len(changes))
+	for i, ch := range changes {
+		keys[i] = ch.key
 	}
-	key, err := pkKey(t, normalized)
+	curs, err := c.router.GetBatch(ns, keys, partition.ReadPrimary)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	ns := planner.TableNamespace(table)
-	spec := c.specFor(table)
+	prev := make(map[string]row.Row, len(changes))
+	for i := range changes {
+		if curs[i].Err != nil {
+			return curs[i].Err
+		}
+		if p, ok := prev[string(keys[i])]; ok {
+			changes[i].oldRow = p
+		} else if curs[i].Found {
+			if changes[i].oldRow, err = row.Decode(curs[i].Value); err != nil {
+				return err
+			}
+		}
+		prev[string(keys[i])] = changes[i].newRow
+	}
+	return nil
+}
 
-	switch spec.Write {
-	case consistency.Serializable, consistency.MergeFunction:
-		// Both modes need the current value atomically.
-		var ver uint64
-		err := c.serializer.Do(ns, key, func() error {
-			cur, _, err := c.readRow(ns, key)
+// change is one base-table row write: the row's storage key, the image
+// it replaces (nil when absent) and the new image (nil deletes).
+type change struct {
+	key            []byte
+	oldRow, newRow row.Row
+}
+
+// pendingWrite is a versioned change on its way to its primary, with
+// the replica set of the range that takes it.
+type pendingWrite struct {
+	rec            record.Record
+	replicas       []string
+	oldRow, newRow row.Row
+}
+
+// applyChanges is the write path under every base-table write: version
+// each change, deliver the records as one multi-record apply per
+// primary, and enqueue each change's replication and asynchronous index
+// maintenance (§3.2) with the table's staleness deadline. Node groups
+// apply concurrently; a single group — every one-row write — applies
+// on the caller's goroutine. It returns the version assigned to the
+// last change: for a one-row write the exact session floor for
+// read-your-writes (an upper bound like the coordinator's current HLC
+// would overshoot under concurrent writers and make the session reject
+// even the primary's answer).
+func (c *Cluster) applyChanges(t *query.TableDef, changes []change) (uint64, error) {
+	ns := planner.TableNamespace(t.Name)
+	m, ok := c.router.Map(ns)
+	if !ok {
+		return 0, fmt.Errorf("scads: no partition map for %s", ns)
+	}
+	var ver uint64
+	groups := make(map[string][]pendingWrite) // primary node -> its writes
+	for _, ch := range changes {
+		ver = c.nextVersion()
+		rec := record.Record{Key: ch.key, Version: ver, Tombstone: ch.newRow == nil}
+		if ch.newRow != nil {
+			val, err := row.Encode(ch.newRow)
+			if err != nil {
+				return 0, err
+			}
+			rec.Value = val
+		}
+		rng := m.Lookup(ch.key)
+		c.loads.Record(ns, rng.Start, ch.key)
+		groups[rng.Replicas[0]] = append(groups[rng.Replicas[0]],
+			pendingWrite{rec: rec, replicas: rng.Replicas, oldRow: ch.oldRow, newRow: ch.newRow})
+	}
+	bound := c.stalenessBound(t.Name)
+	if len(groups) == 1 {
+		for node, ws := range groups {
+			if err := c.applyGroup(t.Name, ns, m, node, ws, bound); err != nil {
+				return 0, err
+			}
+		}
+		return ver, nil
+	}
+	var (
+		wg       sync.WaitGroup
+		errMu    sync.Mutex
+		firstErr error
+	)
+	for node, ws := range groups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := c.applyGroup(t.Name, ns, m, node, ws, bound); err != nil {
+				errMu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				errMu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return 0, firstErr
+	}
+	return ver, nil
+}
+
+// applyGroup delivers one primary's writes as one apply, then enqueues
+// their follow-ups. A group that meets a range mid-handoff, a crashed
+// primary or a shedding node falls back to per-record ApplyPrimary,
+// which re-reads the map and waits the condition out; each record's
+// replication then follows the range that accepted it. Follow-ups are
+// enqueued per group, so one node's failure never strands another
+// group's applied records without them.
+func (c *Cluster) applyGroup(table, ns string, m *partition.Map, node string, ws []pendingWrite, bound time.Duration) error {
+	recs := make([]record.Record, len(ws))
+	for i, w := range ws {
+		recs[i] = w.rec
+	}
+	if err := c.router.Apply(ns, node, recs); err != nil {
+		if !rpc.IsFenced(err) && !partition.IsUnavailable(err) && !rpc.IsOverloaded(err) {
+			return err
+		}
+		for i := range ws {
+			rng, err := c.router.ApplyPrimary(ns, recs[i].Key, recs[i:i+1])
 			if err != nil {
 				return err
 			}
-			next := normalized
-			if spec.Write == consistency.MergeFunction && cur != nil {
-				merged, err := c.mergeRows(spec.MergeName, cur, normalized)
-				if err != nil {
-					return err
-				}
-				next = merged
-			}
-			ver, err = c.applyWrite(t, key, cur, next)
-			return err
-		})
-		return ver, err
-	default: // last-write-wins
-		cur, _, err := c.readRow(ns, key)
-		if err != nil {
-			return 0, err
+			ws[i].replicas = rng.Replicas
 		}
-		return c.applyWrite(t, key, cur, normalized)
 	}
+	for _, w := range ws {
+		c.enqueueReplication(ns, m, w.rec, w.replicas, bound)
+		c.maint.push(maintTask{
+			table:    table,
+			oldRow:   w.oldRow,
+			newRow:   w.newRow,
+			deadline: c.clk.Now().Add(bound),
+		})
+	}
+	return nil
 }
 
 // mergeRows resolves a write conflict through the registered merge
@@ -431,51 +389,6 @@ func (c *Cluster) mergeRows(mergeName string, old, new row.Row) (row.Row, error)
 	return merged, nil
 }
 
-// applyToPrimary delivers pre-versioned records to the primary of
-// key's range, re-reading the partition map and retrying when the
-// primary is write-fenced for migration handoff (shared rpc.FenceRetry
-// policy) or unreachable/down (shared rpc.DownRetry policy — the
-// repair manager's failover flip re-routes the retry to the promoted
-// replica). It returns the range that accepted the write, so callers
-// enqueue replication to the replica set that is actually serving it.
-func (c *Cluster) applyToPrimary(ns string, m *partition.Map, key []byte, recs []record.Record) (partition.Range, error) {
-	// Fence retries are counted separately from the wall-clock down
-	// budget: a write that waited out a crash failover must still get
-	// its full fence allowance when the promoted primary is briefly
-	// fenced by the ensuing RF-repair handoff.
-	downDeadline := time.Now().Add(rpc.DownRetryBudget)
-	fenceAttempts := 0
-	for {
-		rng := m.Lookup(key)
-		err := c.router.Apply(ns, rng.Replicas[0], recs)
-		if err == nil {
-			return rng, nil
-		}
-		switch {
-		case rpc.IsFenced(err) && fenceAttempts < rpc.FenceRetryLimit:
-			// The fence lifts (or routing flips away from it) shortly;
-			// real sleep rather than the virtual clock, since the fence
-			// is held by a concurrent migration goroutine, not by time.
-			fenceAttempts++
-			time.Sleep(rpc.FenceRetryPause)
-		case partition.IsUnavailable(err) && time.Now().Before(downDeadline):
-			// The primary crashed; wait out failure detection plus the
-			// failover flip (wall-clock budget: one TCP attempt can
-			// burn a whole dial timeout). Real sleep for the same
-			// reason: recovery is driven by the repair goroutine, not
-			// by clock time.
-			time.Sleep(rpc.DownRetryPause)
-		case rpc.IsOverloaded(err) && time.Now().Before(downDeadline):
-			// The node shed the apply under its handler bound: honor
-			// the retry-after hint under the same wall-clock budget,
-			// so backpressure slows writes instead of failing them.
-			time.Sleep(rpc.RetryAfter(err))
-		default:
-			return rng, err
-		}
-	}
-}
-
 // enqueueReplication schedules rec for delivery to the secondaries of
 // the range that acknowledged it, then re-reads the partition map and
 // also covers any member a racing reconfiguration added in between. A
@@ -486,71 +399,19 @@ func (c *Cluster) applyToPrimary(ns string, m *partition.Map, key []byte, recs [
 // closes that window from the other side (duplicates are harmless:
 // applies are last-write-wins by version, and a delivery to a node
 // that lost the range bounces off its residual fence).
-func (c *Cluster) enqueueReplication(ns string, m *partition.Map, key []byte, rec record.Record, acked partition.Range, bound time.Duration) {
-	if len(acked.Replicas) > 1 {
-		c.pump.Enqueue(ns, rec, acked.Replicas[1:], bound)
+func (c *Cluster) enqueueReplication(ns string, m *partition.Map, rec record.Record, acked []string, bound time.Duration) {
+	if len(acked) > 1 {
+		c.pump.Enqueue(ns, rec, acked[1:], bound)
 	}
-	cur := m.Lookup(key)
 	var added []string
-	for _, id := range cur.Replicas {
-		seen := false
-		for _, old := range acked.Replicas {
-			if old == id {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+	for _, id := range m.Lookup(rec.Key).Replicas {
+		if !slices.Contains(acked, id) {
 			added = append(added, id)
 		}
 	}
 	if len(added) > 0 {
 		c.pump.Enqueue(ns, rec, added, bound)
 	}
-}
-
-// applyWrite is the common write path: version the record, write the
-// table primary, enqueue replication to secondaries, and enqueue
-// asynchronous index maintenance with the namespace's staleness
-// deadline. It returns the version assigned to the record — the exact
-// session floor for read-your-writes (an upper bound like the
-// coordinator's current HLC would overshoot under concurrent writers
-// and make the session reject even the primary's answer).
-func (c *Cluster) applyWrite(t *query.TableDef, key []byte, oldRow, newRow row.Row) (uint64, error) {
-	ns := planner.TableNamespace(t.Name)
-	rec := record.Record{Key: key, Version: c.nextVersion()}
-	if newRow == nil {
-		rec.Tombstone = true
-	} else {
-		val, err := row.Encode(newRow)
-		if err != nil {
-			return 0, err
-		}
-		rec.Value = val
-	}
-
-	m, ok := c.router.Map(ns)
-	if !ok {
-		return 0, fmt.Errorf("scads: no partition map for %s", ns)
-	}
-	c.loads.Record(ns, m.Lookup(key).Start, key)
-	rng, err := c.applyToPrimary(ns, m, key, []record.Record{rec})
-	if err != nil {
-		return 0, err
-	}
-	bound := c.stalenessBound(t.Name)
-	c.enqueueReplication(ns, m, key, rec, rng, bound)
-
-	// Asynchronous index maintenance (§3.2): enqueue the base change;
-	// DrainMaintenance (or the background pump) computes and applies
-	// the bounded index updates before the staleness deadline.
-	c.maint.push(maintTask{
-		table:    t.Name,
-		oldRow:   oldRow,
-		newRow:   newRow,
-		deadline: c.clk.Now().Add(bound),
-	})
-	return rec.Version, nil
 }
 
 // readRow fetches the current row from the primary (nil when absent).
@@ -611,11 +472,11 @@ func (c *Cluster) applyIndexMutation(ns string, key []byte, val row.Row) error {
 	if !ok {
 		return fmt.Errorf("scads: no partition map for %s", ns)
 	}
-	rng, err := c.applyToPrimary(ns, m, key, []record.Record{rec})
+	rng, err := c.router.ApplyPrimary(ns, key, []record.Record{rec})
 	if err != nil {
 		return err
 	}
-	c.enqueueReplication(ns, m, key, rec, rng, c.cfg.DefaultStaleness)
+	c.enqueueReplication(ns, m, rec, rng.Replicas, c.cfg.DefaultStaleness)
 	return nil
 }
 
