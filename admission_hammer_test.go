@@ -11,16 +11,20 @@ import (
 	"scads/internal/session"
 )
 
-// TestMultiTenantHammer floods a cluster with an adversarial
-// best-effort tenant while compliant committed tenants keep writing,
-// all under the race detector. The contracts under test: admission
-// never loses an acked committed write, committed classes are never
-// shed before the best-effort classes (with the watermark sized above
-// the committed concurrency they cannot shed at all here), and the
-// adversary's pressure lands on its own quota.
+// TestMultiTenantHammer floods a cluster with best-effort traffic
+// while compliant committed tenants keep writing, all under the race
+// detector. Half the best-effort workers run as a quota'd adversary,
+// the other half as an unquota'd flooder that drives the in-flight
+// watermark. The contracts under test: admission never loses an acked
+// committed write, committed classes are never shed while the flood
+// is being shed (with the watermark sized above the committed
+// concurrency they cannot shed at all here), and the adversary's
+// pressure lands on its own quota. The adversary's quota is small
+// enough that it is exhausted even when overload shedding, which
+// debits no tokens, absorbs most of the flood on slow hardware.
 func TestMultiTenantHammer(t *testing.T) {
 	const (
-		advWorkers  = 24
+		advWorkers  = 24 // half "adversary", half "flooder"
 		goodWorkers = 4
 		hammerFor   = 500 * time.Millisecond
 	)
@@ -32,7 +36,8 @@ func TestMultiTenantHammer(t *testing.T) {
 			// committed ops can be in flight on top of the BE cap.
 			MaxInFlight: 16,
 			Tenants: map[string]admission.TenantConfig{
-				"adversary": {Priority: admission.BestEffort, OpsPerSec: 2000, Burst: 200},
+				"adversary": {Priority: admission.BestEffort, OpsPerSec: 200, Burst: 20},
+				"flooder":   {Priority: admission.BestEffort},
 				"compliant": {Priority: admission.Committed},
 			},
 		},
@@ -61,8 +66,12 @@ namespace users { session: read-your-writes; staleness: 10m; }
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			tenant := "adversary"
+			if w%2 == 1 {
+				tenant = "flooder"
+			}
 			sess := lc.NewSession("users")
-			sess.BindTenant("adversary")
+			sess.BindTenant(tenant)
 			for i := 0; time.Since(start) < hammerFor; i++ {
 				// Unpaced, error-blind: the adversary by construction.
 				if i%4 == 0 {
@@ -118,6 +127,12 @@ namespace users { session: read-your-writes; staleness: 10m; }
 		t.Fatal("compliant tenant landed zero writes")
 	}
 
+	// The flood must actually have pushed the watermark, or the
+	// committed-never-shed check below passes vacuously.
+	if st.ShedByClass[2]+st.ShedByClass[3] == 0 {
+		t.Fatalf("best-effort flood never shed on overload: %+v", st.ShedByClass)
+	}
+
 	// Committed classes never shed: the watermark math above makes the
 	// strict priority ordering a hard zero here, not a tendency.
 	if st.ShedByClass[0] != 0 || st.ShedByClass[1] != 0 {
@@ -125,7 +140,7 @@ namespace users { session: read-your-writes; staleness: 10m; }
 			st.ShedByClass[0], st.ShedByClass[1], st.ShedByClass)
 	}
 
-	// The adversary ran far past its 2000 ops/s quota, so the bucket
+	// The adversary ran far past its 200 ops/s quota, so the bucket
 	// must have pushed back.
 	if st.ShedQuota == 0 {
 		t.Fatalf("adversary never hit its quota: %+v", st)

@@ -196,24 +196,3 @@ func TestBatchingCoalescesUnderConcurrency(t *testing.T) {
 	t.Logf("batching: %d calls, %d envelopes, %d coalesced",
 		st.Batching.Calls, st.Batching.Envelopes, st.Batching.Batched)
 }
-
-// TestDisableBatching keeps the opt-out honest.
-func TestDisableBatching(t *testing.T) {
-	lc, err := NewLocalCluster(2, Config{DisableBatching: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-	if err := lc.DefineSchema(socialDDL); err != nil {
-		t.Fatal(err)
-	}
-	if err := lc.Insert("users", Row{"id": "u1", "name": "N", "birthday": 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, found, err := lc.Get("users", Row{"id": "u1"}); err != nil || !found {
-		t.Fatalf("get: %v found=%v", err, found)
-	}
-	if st := lc.Stats(); st.Batching.Calls != 0 {
-		t.Fatalf("batching stats nonzero with batching disabled: %+v", st.Batching)
-	}
-}

@@ -17,8 +17,8 @@ import (
 
 // BenchmarkGroupCommitWAL is the acceptance benchmark for the batched
 // group-commit write pipeline: concurrent durable writers through
-// wal.AppendGroup (shared fsync per commit group) versus the unbatched
-// baseline (one private fsync per append, Options.SyncEveryAppend).
+// wal Append + SyncGroup (shared fsync per commit group) versus the
+// unbatched baseline (Append + Sync, one private fsync per append).
 // The batched path must win at >= 4 concurrent writers; fsyncs/op
 // reports how much durability work each configuration actually paid.
 func BenchmarkGroupCommitWAL(b *testing.B) {
@@ -26,15 +26,15 @@ func BenchmarkGroupCommitWAL(b *testing.B) {
 	for _, writers := range []int{1, 4, 16} {
 		for _, mode := range []string{"unbatched", "group-commit"} {
 			b.Run(fmt.Sprintf("%s/writers=%d", mode, writers), func(b *testing.B) {
-				var opts *wal.Options
-				if mode == "unbatched" {
-					opts = &wal.Options{SyncEveryAppend: true}
-				}
-				l, _, err := wal.Open(b.TempDir(), opts)
+				l, _, err := wal.Open(b.TempDir(), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer l.Close()
+				commit := l.SyncGroup
+				if mode == "unbatched" {
+					commit = l.Sync
+				}
 				b.ResetTimer()
 				var next atomic.Int64
 				var wg sync.WaitGroup
@@ -52,14 +52,12 @@ func BenchmarkGroupCommitWAL(b *testing.B) {
 								Value:   []byte(payload),
 								Version: uint64(i),
 							}
-							var appendErr error
-							if mode == "unbatched" {
-								appendErr = l.Append(rec)
-							} else {
-								appendErr = l.AppendGroup(rec)
+							err := l.Append(rec)
+							if err == nil {
+								err = commit()
 							}
-							if appendErr != nil {
-								b.Error(appendErr)
+							if err != nil {
+								b.Error(err)
 								return
 							}
 						}

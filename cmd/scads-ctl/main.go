@@ -3,17 +3,18 @@
 // operator ping nodes, dump per-node statistics, read raw keys, scan
 // key ranges, and drop ranges during manual repartitioning.
 //
-// Usage:
+// Usage (every flag goes before the subcommand; flag parsing stops at
+// the first non-flag argument):
 //
 //	scads-ctl -addr host:7070 ping
 //	scads-ctl -addr host:7070 stats
-//	scads-ctl -addr host:7070 get  -ns tbl_users -key user0001
-//	scads-ctl -addr host:7070 scan -ns tbl_users -start a -end z -limit 20
+//	scads-ctl -addr host:7070 -ns tbl.users -key user0001 get
+//	scads-ctl -addr host:7070 -ns tbl.users -start a -end z -limit 20 scan
 //	scads-ctl -addr a:7070,b:7070 stats        # fan out to many nodes
-//	scads-ctl -addr host:7070 droprange -ns tbl_users -start a -end b
-//	scads-ctl -addr host:7070 watermark -ns tbl_users
-//	scads-ctl -addr host:7070 fence   -ns tbl_users -start a -end b
-//	scads-ctl -addr host:7070 unfence -ns tbl_users -start a -end b
+//	scads-ctl -addr host:7070 -ns tbl.users -start a -end b droprange
+//	scads-ctl -addr host:7070 -ns tbl.users watermark
+//	scads-ctl -addr host:7070 -ns tbl.users -start a -end b fence
+//	scads-ctl -addr host:7070 -ns tbl.users -start a -end b unfence
 //	scads-ctl -addr coord:7071 repairs     # coordinator admin port
 //	scads-ctl -addr coord:7071 tenants     # admission quota/shed counters
 //
@@ -46,7 +47,7 @@ import (
 func main() {
 	var (
 		addrs = flag.String("addr", "127.0.0.1:7070", "node address(es), comma-separated")
-		ns    = flag.String("ns", "", "namespace (tbl_<table>, idx_<query>, view_<query>)")
+		ns    = flag.String("ns", "", "namespace (tbl.<table> or idx.<index>)")
 		key   = flag.String("key", "", "key for get")
 		start = flag.String("start", "", "range start (inclusive) for scan/droprange")
 		end   = flag.String("end", "", "range end (exclusive; empty = to namespace end)")

@@ -166,18 +166,10 @@ type Config struct {
 	MaxInFlight int
 
 	// Tenants seeds per-tenant configs; SetTenant adds or replaces
-	// them later. Tenants never configured run with the zero config
-	// at the DefaultPriority.
+	// them later. Tenants never configured — including the default
+	// (empty-name) tenant that plain, sessionless API calls belong
+	// to — run with the zero config, at BestEffort priority.
 	Tenants map[string]TenantConfig
-
-	// DefaultPriority is the class for tenants with no explicit
-	// config — including the default (empty-name) tenant that plain,
-	// sessionless API calls belong to. The zero value is BestEffort,
-	// matching TenantConfig.Priority; set Committed to shield
-	// unconfigured traffic until the hard ceiling. Priority only
-	// matters once MaxInFlight is set, so a zero-config cluster is
-	// unaffected either way.
-	DefaultPriority Priority
 
 	// HotWindow is the demand-rate measurement window for hot-tenant
 	// detection (default 1s).
@@ -269,19 +261,18 @@ func (t *tenantState) observe(now time.Time, cost float64, window time.Duration)
 // Controller is the front-door admission gate. Safe for concurrent
 // use.
 type Controller struct {
-	clk       clock.Clock
-	hotWindow time.Duration
-	hotFactor float64
+	clk         clock.Clock
+	hotWindow   time.Duration
+	hotFactor   float64
+	maxInFlight int
 
 	mu          sync.Mutex
-	maxInFlight int
 	tenants     map[string]*tenantState
 	inFlight    int
 	peak        int
 	admitted    uint64
 	shedQuota   uint64
 	shedByClass [NumShedClasses]uint64
-	defPriority Priority
 }
 
 // New builds a Controller from cfg.
@@ -296,7 +287,6 @@ func New(cfg Config) *Controller {
 		hotWindow:   cfg.HotWindow,
 		hotFactor:   cfg.HotFactor,
 		tenants:     make(map[string]*tenantState),
-		defPriority: cfg.DefaultPriority,
 	}
 	if c.hotWindow <= 0 {
 		c.hotWindow = time.Second
@@ -324,17 +314,10 @@ func (c *Controller) SetTenant(name string, cfg TenantConfig) {
 	c.tenants[name] = newTenantState(cfg, c.clk.Now())
 }
 
-// SetMaxInFlight changes the overload watermark at runtime.
-func (c *Controller) SetMaxInFlight(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxInFlight = n
-}
-
 func (c *Controller) tenantLocked(name string, now time.Time) *tenantState {
 	t := c.tenants[name]
 	if t == nil {
-		t = newTenantState(TenantConfig{Priority: c.defPriority}, now)
+		t = newTenantState(TenantConfig{}, now)
 		c.tenants[name] = t
 	}
 	return t

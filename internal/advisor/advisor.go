@@ -17,7 +17,6 @@ package advisor
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"scads/internal/analyzer"
@@ -515,9 +514,4 @@ func rowBytes(t *query.TableDef, cols []string, w Workload) int {
 		}
 	}
 	return bytes
-}
-
-// SortIndexes orders index advice alphabetically for stable output.
-func SortIndexes(ia []IndexAdvice) {
-	sort.Slice(ia, func(i, j int) bool { return ia[i].Name < ia[j].Name })
 }

@@ -100,6 +100,10 @@ type Decision struct {
 	Reason   string
 }
 
+// scaleDownThreshold is the scale-down hysteresis: servers are only
+// released when the target is below running by at least this fraction.
+const scaleDownThreshold = 0.1
+
 // Config tunes the director.
 type Config struct {
 	// SLALatency is the latency bound being defended.
@@ -117,9 +121,6 @@ type Config struct {
 	// ScaleDownCooldown is the minimum time between scale-down steps,
 	// preventing thrash (default 10m).
 	ScaleDownCooldown time.Duration
-	// ScaleDownThreshold only releases servers when the target is
-	// below running by at least this fraction (default 0.1).
-	ScaleDownThreshold float64
 	// Policy selects model-driven or reactive control.
 	Policy Policy
 	// Periodic enables the time-of-day forecast component.
@@ -138,9 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ScaleDownCooldown <= 0 {
 		c.ScaleDownCooldown = 10 * time.Minute
-	}
-	if c.ScaleDownThreshold <= 0 {
-		c.ScaleDownThreshold = 0.1
 	}
 	return c
 }
@@ -263,7 +261,7 @@ func (d *Director) Step(obs Observation) Decision {
 			break
 		}
 		slack := float64(running-target) / float64(running)
-		if slack < d.cfg.ScaleDownThreshold {
+		if slack < scaleDownThreshold {
 			dec.Reason += "+hysteresis-hold"
 			break
 		}

@@ -82,24 +82,12 @@ type Stats struct {
 }
 
 // Manager drives online range migrations with bounded parallelism.
-// Tuning fields follow the package convention of replication.Pump:
-// set them before the first migration.
+// Its hook fields (OnPhase, OnFlip, Resolver) are set before the first
+// migration.
 type Manager struct {
 	transport rpc.Transport
 	dir       *cluster.Directory
 
-	// PageSize bounds records per snapshot page and per delta fetch.
-	// Default 1024; capped at the nodes' per-request limit of 10000 —
-	// a larger value would make the server's clamped reply look like
-	// a final short page and silently truncate the snapshot.
-	PageSize int
-	// DeltaRounds bounds unfenced catch-up rounds before the fence is
-	// taken regardless of delta size. Default 4.
-	DeltaRounds int
-	// DeltaThreshold fences as soon as an unfenced round returns this
-	// many records or fewer — the targets are close enough that the
-	// fenced drain is short. Default 64.
-	DeltaThreshold int
 	// OnPhase, when set, receives one Event per phase transition
 	// (synchronously, on the migrating goroutine).
 	OnPhase func(Event)
@@ -156,14 +144,11 @@ func NewManager(transport rpc.Transport, dir *cluster.Directory, parallelism int
 		parallelism = 4
 	}
 	return &Manager{
-		transport:      transport,
-		dir:            dir,
-		PageSize:       1024,
-		DeltaRounds:    4,
-		DeltaThreshold: 64,
-		sem:            make(chan struct{}, parallelism),
-		inflight:       make(map[string]*rangeLock),
-		pending:        make(map[string]*cleanup),
+		transport: transport,
+		dir:       dir,
+		sem:       make(chan struct{}, parallelism),
+		inflight:  make(map[string]*rangeLock),
+		pending:   make(map[string]*cleanup),
 	}
 }
 
@@ -335,7 +320,7 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 		// forever, never fencing and never surfacing an error.
 		const maxResnapshots = 3
 		rounds, resnapshots := 0, 0
-		for rounds < m.deltaRounds() {
+		for rounds < deltaRounds {
 			n, wm, err := m.deltaOnce(namespace, rng, donorAddr, catchupTargets, epoch, watermark)
 			if rpc.IsSnapshotGap(err) {
 				// The baseline aged out of the donor's delta log
@@ -355,7 +340,7 @@ func (m *Manager) migrate(pm *partition.Map, namespace string, key []byte, rng p
 			}
 			watermark = wm
 			rounds++
-			if n <= m.deltaThreshold() {
+			if n <= deltaThreshold {
 				break
 			}
 		}
@@ -453,11 +438,10 @@ func (m *Manager) snapshot(namespace string, rng partition.Range, donorAddr stri
 	m.event(Event{Phase: PhaseSnapshot, Namespace: namespace, Start: rng.Start, End: rng.End, Target: replicaTarget})
 	cur := rng.Start
 	first := true
-	page := m.pageSize()
 	for {
 		resp, err := m.transport.Call(donorAddr, rpc.Request{
 			Method: rpc.MethodRangeSnapshot, Namespace: namespace,
-			Start: cur, End: rng.End, Limit: page,
+			Start: cur, End: rng.End, Limit: pageSize,
 		})
 		if err == nil {
 			// A semantic error travels in resp.Err (storage failure,
@@ -482,7 +466,7 @@ func (m *Manager) snapshot(namespace string, rng partition.Range, donorAddr stri
 		// flags More (it stopped at its byte budget, not the end of the
 		// range); an empty page is always terminal — no key to advance
 		// from means no progress is possible.
-		if len(resp.Records) == 0 || (len(resp.Records) < page && !resp.More) {
+		if len(resp.Records) == 0 || (len(resp.Records) < pageSize && !resp.More) {
 			return epoch, watermark, nil
 		}
 		last := resp.Records[len(resp.Records)-1].Key
@@ -496,12 +480,11 @@ func (m *Manager) snapshot(namespace string, rng partition.Range, donorAddr stri
 func (m *Manager) deltaOnce(namespace string, rng partition.Range, donorAddr string, targets []nodeAddr, epoch, since uint64) (int, uint64, error) {
 	m.event(Event{Phase: PhaseDelta, Namespace: namespace, Start: rng.Start, End: rng.End})
 	total := 0
-	page := m.pageSize()
 	wm := since
 	for {
 		resp, err := m.transport.Call(donorAddr, rpc.Request{
 			Method: rpc.MethodRangeDelta, Namespace: namespace,
-			Start: rng.Start, End: rng.End, Since: wm, Epoch: epoch, Limit: page,
+			Start: rng.Start, End: rng.End, Since: wm, Epoch: epoch, Limit: pageSize,
 		})
 		if err == nil {
 			// ErrSnapshotGap (and any other semantic failure) arrives
@@ -750,30 +733,27 @@ func (m *Manager) event(ev Event) {
 }
 
 // nodePageLimit mirrors the storage nodes' per-request record clamp.
-// Snapshot pagination terminates on a short page, so the requested
-// page size must never exceed what a node is willing to return.
 const nodePageLimit = 10000
 
-func (m *Manager) pageSize() int {
-	if m.PageSize > 0 {
-		return min(m.PageSize, nodePageLimit)
-	}
-	return 1024
-}
+const (
+	// pageSize bounds records per snapshot page and per delta fetch.
+	// It must stay <= nodePageLimit: snapshot pagination terminates on
+	// a short page, so a larger request would make a node's clamped
+	// reply look like the final page and silently truncate the
+	// snapshot.
+	pageSize = 1024
+	// deltaRounds bounds unfenced catch-up rounds before the fence is
+	// taken regardless of delta size.
+	deltaRounds = 4
+	// deltaThreshold fences as soon as an unfenced round returns this
+	// many records or fewer: the targets are close enough that the
+	// fenced drain is short.
+	deltaThreshold = 64
+)
 
-func (m *Manager) deltaRounds() int {
-	if m.DeltaRounds > 0 {
-		return m.DeltaRounds
-	}
-	return 4
-}
-
-func (m *Manager) deltaThreshold() int {
-	if m.DeltaThreshold >= 0 {
-		return m.DeltaThreshold
-	}
-	return 64
-}
+// The build fails here (negative array length) if pageSize ever
+// exceeds nodePageLimit.
+var _ [nodePageLimit - pageSize]struct{}
 
 // --- small set helpers ---
 

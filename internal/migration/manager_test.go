@@ -376,12 +376,11 @@ func TestRegainAfterSplitLiftsResidualFence(t *testing.T) {
 	}
 }
 
-// TestPageSizeClampedToNodeLimit: a PageSize above the nodes'
-// per-request clamp must not make a clamped reply look like the final
-// short page (which would silently truncate the snapshot).
+// TestPageSizeClampedToNodeLimit: a snapshot spanning more than one
+// node page limit must arrive whole; a clamped reply must never read
+// as the final short page (which would silently truncate it).
 func TestPageSizeClampedToNodeLimit(t *testing.T) {
 	h := newHarness(t, "a", "b")
-	h.mgr.PageSize = 50000
 	const n = 12000 // more than one nodePageLimit page
 	ns, err := h.nodes["a"].Engine().Namespace(testNS)
 	if err != nil {

@@ -251,28 +251,6 @@ func EqualIDs(a, b []string) bool {
 	return true
 }
 
-// ReplaceNode substitutes newID for oldID in every replica group that
-// contains oldID, returning how many ranges changed. Used when the
-// director replaces a failed or decommissioned node.
-func (m *Map) ReplaceNode(oldID, newID string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	changed := 0
-	for i := range m.ranges {
-		for j, id := range m.ranges[i].Replicas {
-			if id == oldID {
-				m.ranges[i].Replicas[j] = newID
-				changed++
-				break
-			}
-		}
-	}
-	if changed > 0 {
-		m.ver++
-	}
-	return changed
-}
-
 // NodesInUse returns the set of node IDs referenced by any range.
 func (m *Map) NodesInUse() map[string]bool {
 	m.mu.RLock()

@@ -47,8 +47,7 @@ type Router struct {
 	mu   sync.RWMutex
 	maps map[string]*Map
 
-	rr      atomic.Uint64 // round-robin counter for ReadAny
-	scanPar atomic.Int64  // scatter-gather fan-out bound (0 = default)
+	rr atomic.Uint64 // round-robin counter for ReadAny
 }
 
 // NewRouter returns a Router resolving node addresses through dir and
@@ -346,23 +345,6 @@ func (r *Router) ApplyPrimary(namespace string, key []byte, recs []record.Record
 			return rng, err
 		}
 	}
-}
-
-// SetScanParallelism bounds how many per-range sub-scans one scan fans
-// out concurrently (see ScanOpts). n <= 0 restores the default;
-// n == 1 makes every scan sequential.
-func (r *Router) SetScanParallelism(n int) {
-	if n <= 0 {
-		n = DefaultScanParallelism
-	}
-	r.scanPar.Store(int64(n))
-}
-
-func (r *Router) scanParallelism() int {
-	if n := r.scanPar.Load(); n > 0 {
-		return int(n)
-	}
-	return DefaultScanParallelism
 }
 
 // replicaOrder returns the replica IDs in the order reads should try

@@ -10,8 +10,7 @@ import (
 )
 
 // DefaultScanParallelism bounds how many per-range sub-scans one scan
-// fans out concurrently when neither the router nor the caller says
-// otherwise.
+// fans out concurrently when the caller does not say otherwise.
 const DefaultScanParallelism = 8
 
 // ScanOptions tunes one scatter-gather scan.
@@ -27,8 +26,8 @@ type ScanOptions struct {
 	// Preds are conjunctive filters evaluated node-side; rows failing
 	// them never cross the wire and do not count against Limit.
 	Preds []rpc.ScanPred
-	// Parallelism bounds concurrent per-range sub-scans. 0 uses the
-	// router's configured default; 1 degenerates to the sequential
+	// Parallelism bounds concurrent per-range sub-scans. 0 uses
+	// DefaultScanParallelism; 1 degenerates to the sequential
 	// range-at-a-time path (the ablation baseline).
 	Parallelism int
 	// Tenant is the admission-control identity the scan is accounted
@@ -119,7 +118,7 @@ func (r *Router) ScanOpts(namespace string, start, end []byte, o ScanOptions) ([
 
 	par := o.Parallelism
 	if par == 0 {
-		par = r.scanParallelism()
+		par = DefaultScanParallelism
 	}
 	if par < 1 {
 		par = 1

@@ -285,6 +285,73 @@ func TestScanPushdownReachesNodes(t *testing.T) {
 	}
 }
 
+// TestScanDefaultParallelismBound: a scan that leaves Parallelism at 0
+// over more ranges than DefaultScanParallelism fans out concurrently
+// but never holds more than DefaultScanParallelism sub-scans in flight.
+func TestScanDefaultParallelismBound(t *testing.T) {
+	const ranges = 2 * DefaultScanParallelism
+	tc := newTestCluster(t, "n1", "n2", "n3")
+	m, _ := NewMap([]string{"n1"})
+	for i := 1; i < ranges; i++ {
+		if err := m.Split([]byte(fmt.Sprintf("k-%04d", i*10))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nodes := []string{"n1", "n2", "n3"}
+	for i, rng := range m.Ranges() {
+		key := rng.Start
+		if key == nil {
+			key = []byte{}
+		}
+		m.SetReplicas(key, []string{nodes[i%3]})
+	}
+	tc.router.SetMap("ns", m)
+	loadScanData(t, tc, "ns", ranges*10)
+
+	gate := &inflightTransport{next: tc.transport, hold: 5 * time.Millisecond}
+	router := NewRouter(gate, tc.dir)
+	router.SetMap("ns", m)
+	recs, err := router.ScanOpts("ns", nil, nil, ScanOptions{Limit: ranges * 10, Policy: ReadPrimary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != ranges*10 {
+		t.Fatalf("scan returned %d records, want %d", len(recs), ranges*10)
+	}
+	peak := gate.peak.Load()
+	if peak > DefaultScanParallelism {
+		t.Fatalf("%d sub-scans in flight, bound is %d", peak, DefaultScanParallelism)
+	}
+	if peak < 2 {
+		t.Fatalf("peak of %d sub-scans in flight: the scan never fanned out", peak)
+	}
+}
+
+// inflightTransport holds every MethodScan for hold and records the
+// peak number of scans in flight at once.
+type inflightTransport struct {
+	next     rpc.Transport
+	hold     time.Duration
+	inflight atomic.Int64
+	peak     atomic.Int64
+}
+
+func (g *inflightTransport) Call(addr string, req rpc.Request) (rpc.Response, error) {
+	if req.Method != rpc.MethodScan {
+		return g.next.Call(addr, req)
+	}
+	n := g.inflight.Add(1)
+	defer g.inflight.Add(-1)
+	for {
+		p := g.peak.Load()
+		if n <= p || g.peak.CompareAndSwap(p, n) {
+			break
+		}
+	}
+	time.Sleep(g.hold)
+	return g.next.Call(addr, req)
+}
+
 type recordingTransport struct {
 	next   rpc.Transport
 	onScan func(rpc.Request)

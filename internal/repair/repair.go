@@ -81,9 +81,6 @@ type Config struct {
 	// (each is additionally bounded by the migration manager's own
 	// semaphore). Default 2.
 	Parallelism int
-	// Disabled turns the background loop off (Cluster.StartBackground
-	// will not start it); Sweep can still be driven manually.
-	Disabled bool
 }
 
 func (c Config) withDefaults() Config {

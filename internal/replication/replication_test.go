@@ -73,14 +73,11 @@ func TestQueueTiesAreFIFO(t *testing.T) {
 
 func TestQueuePeekAndLen(t *testing.T) {
 	q := NewQueue(ByDeadline)
-	if _, ok := q.Peek(); ok {
-		t.Fatal("Peek on empty queue")
+	if q.Len() != 0 {
+		t.Fatalf("Len on empty queue = %d", q.Len())
 	}
 	q.Push(upd("ns", "x", t0.Add(time.Second)))
 	q.Push(upd("ns", "y", t0.Add(time.Minute)))
-	if u, ok := q.Peek(); !ok || u.Target != "x" {
-		t.Fatalf("Peek = %+v %v", u, ok)
-	}
 	if q.Len() != 2 {
 		t.Fatalf("Len = %d", q.Len())
 	}
@@ -91,8 +88,8 @@ func TestQueueAtRiskAndOverdue(t *testing.T) {
 	q.Push(upd("ns", "overdue", t0.Add(-time.Second)))
 	q.Push(upd("ns", "soon", t0.Add(2*time.Second)))
 	q.Push(upd("ns", "later", t0.Add(time.Hour)))
-	if got := q.Overdue(t0); got != 1 {
-		t.Fatalf("Overdue = %d", got)
+	if got := q.AtRisk(t0, 0); got != 1 {
+		t.Fatalf("AtRisk(now, 0) = %d, want the one overdue update", got)
 	}
 	if got := q.AtRisk(t0, 5*time.Second); got != 2 {
 		t.Fatalf("AtRisk = %d", got)

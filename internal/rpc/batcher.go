@@ -6,9 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// DefaultMaxBatch bounds how many sub-requests a Batcher packs into
-// one MethodBatch envelope.
-const DefaultMaxBatch = 128
+// maxBatch bounds how many sub-requests a Batcher packs into one
+// MethodBatch envelope.
+const maxBatch = 128
 
 // Batcher wraps a Transport and coalesces concurrent calls to the
 // same (address, method) pair into a single MethodBatch round-trip.
@@ -26,10 +26,6 @@ const DefaultMaxBatch = 128
 // replication traffic) keeps working on the envelope.
 type Batcher struct {
 	next Transport
-
-	// MaxBatch bounds sub-requests per envelope (DefaultMaxBatch when
-	// zero). Set before first use.
-	MaxBatch int
 
 	mu      sync.Mutex
 	pending map[batchKey]*batchQueue
@@ -78,13 +74,6 @@ func (b *Batcher) Stats() BatcherStats {
 	}
 }
 
-func (b *Batcher) maxBatch() int {
-	if b.MaxBatch > 0 {
-		return b.MaxBatch
-	}
-	return DefaultMaxBatch
-}
-
 // Call implements Transport. MethodBatch requests built by the caller
 // pass straight through.
 func (b *Batcher) Call(addr string, req Request) (Response, error) {
@@ -128,9 +117,9 @@ func (b *Batcher) Call(addr string, req Request) (Response, error) {
 			b.mu.Unlock()
 			break
 		}
-		if max := b.maxBatch(); len(batch) > max {
-			q.calls = batch[max:]
-			batch = batch[:max]
+		if len(batch) > maxBatch {
+			q.calls = batch[maxBatch:]
+			batch = batch[:maxBatch]
 		}
 		b.mu.Unlock()
 		b.flush(addr, batch)

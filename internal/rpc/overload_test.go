@@ -45,11 +45,13 @@ func TestControlHeadroomUnderScanFlood(t *testing.T) {
 	defer tr.Close()
 
 	errs := make([]error, flood)
+	var returned atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < flood; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			defer returned.Add(1)
 			resp, err := tr.Call(addr, Request{Method: MethodScan, Namespace: "ns"})
 			if err != nil {
 				errs[i] = err
@@ -86,6 +88,15 @@ func TestControlHeadroomUnderScanFlood(t *testing.T) {
 		t.Fatalf("ping took %v under scan flood; control reserve not honored", pingLatency)
 	}
 
+	// Every call past the bound must have been answered (shed) before
+	// the flood drains: a call still in flight when a slot frees would
+	// legitimately be dispatched instead.
+	for returned.Load() < int64(flood-dataSlots) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/%d overflow calls answered while the flood held", returned.Load(), flood-dataSlots)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(release)
 	wg.Wait()
 

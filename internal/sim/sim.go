@@ -61,8 +61,6 @@ type Config struct {
 	StaticServers int
 	// InitialServers seeds the elastic modes (default 2).
 	InitialServers int
-	// Director tunes the controller (SLALatency etc. filled from SLA).
-	Director director.Config
 	// Warmup pre-trains the capacity model from the service curve
 	// before the run, modelling "models of past performance" (§2.2).
 	Warmup bool
@@ -128,16 +126,14 @@ func Run(cfg Config) Result {
 
 	var dir *director.Director
 	if cfg.Mode != ModeStatic {
-		dcfg := cfg.Director
-		dcfg.SLALatency = cfg.SLA.LatencyBound
+		dcfg := director.Config{
+			SLALatency: cfg.SLA.LatencyBound,
+			Policy:     director.ModelDriven,
+			// Provision ahead by boot delay plus two control ticks.
+			ForecastHorizon: cfg.Cloud.BootDelay + 2*cfg.Tick,
+		}
 		if cfg.Mode == ModeReactive {
 			dcfg.Policy = director.Reactive
-		} else {
-			dcfg.Policy = director.ModelDriven
-		}
-		if dcfg.ForecastHorizon <= 0 {
-			// Provision ahead by boot delay plus two control ticks.
-			dcfg.ForecastHorizon = cfg.Cloud.BootDelay + 2*cfg.Tick
 		}
 		dir = director.New(clk, &cloudActuator{cloud: cloud}, dcfg)
 		if cfg.Warmup && cfg.Mode == ModeModelDriven {

@@ -102,7 +102,6 @@ func TestScaleDownSavesMoney(t *testing.T) {
 	cfg := baseConfig(tr, ModeModelDriven)
 	cfg.Duration = 24 * time.Hour
 	cfg.Cloud.BillingGranularity = time.Minute
-	cfg.Director.ScaleDownCooldown = 5 * time.Minute
 	elastic := Run(cfg)
 
 	peakNeed := RequiredServers(svc(), paperSLA().LatencyBound, 5500)

@@ -12,13 +12,13 @@ import (
 // merges the whole stack inline: it kicks a background pass that picks
 // contiguous runs of similar-sized tables ("tiers") and merges each
 // run into one table, concurrently across independent runs, bounded by
-// the engine-wide Options.CompactionParallelism semaphore and throttled
+// the engine-wide compactionParallelism semaphore and throttled
 // by Options.CompactionRateBytes. Runs must be contiguous in the stack:
 // the stack order is the last-write-wins tie-break between equal
 // versions, and merging non-adjacent tables would reorder it.
 //
-// Foreground paths that need the table set to themselves — explicit
-// Compact, TruncateRange, close — cancel in-flight tier merges (the
+// Foreground paths that need the table set to themselves —
+// TruncateRange and close — cancel in-flight tier merges (the
 // merge polls a stop channel between records, even while rate-limited)
 // and wait them out before proceeding, so a background merge can never
 // stall a fence handoff for longer than one cancellation poll.

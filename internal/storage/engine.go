@@ -22,7 +22,7 @@
 //
 //   - A batched write path: ApplyBatch lands a whole record group with
 //     one lock acquisition and one WAL write, and with
-//     Options.SyncWrites the WAL's group commit (wal.AppendGroup /
+//     Options.SyncWrites the WAL's group commit (wal.AppendBatch +
 //     SyncGroup) shares a single fsync across concurrent writers.
 //     This is the storage half of the RPC-to-WAL batching pipeline —
 //     rpc.Batcher coalesces requests per node, cluster.Node feeds them
@@ -65,22 +65,16 @@ type Options struct {
 	// CacheBytes sizes the engine-wide sharded read cache. 0 selects
 	// the default (32 MiB); negative disables caching entirely.
 	CacheBytes int64
-	// CacheShards stripes the read cache (rounded up to a power of
-	// two). Default 16.
-	CacheShards int
 	// BlockCacheBytes sizes the engine-wide decoded-block cache shared
 	// by every namespace's SSTables (see BlockCache). 0 disables it —
 	// the raw block-read path, used by the e17 ablation — so callers
 	// that want it (the cluster layer, scads-server) opt in explicitly.
 	BlockCacheBytes int64
-	// CompactionParallelism bounds how many background tier merges run
-	// concurrently across the whole engine. Default 2.
-	CompactionParallelism int
 	// CompactionRateBytes throttles each background tier merge to this
 	// many input bytes per second so compaction can never monopolise
-	// the disk during a fence handoff. 0 means unlimited. Major
-	// compactions (explicit Compact, TruncateRange) are never
-	// throttled: they sit on the critical path of migration teardown.
+	// the disk during a fence handoff. 0 means unlimited. The major
+	// compaction behind TruncateRange is never throttled: it sits on
+	// the critical path of migration teardown.
 	CompactionRateBytes int64
 	// SyncWrites makes every accepted mutation durable before it is
 	// acknowledged, using the WAL's group commit so concurrent writers
@@ -89,7 +83,14 @@ type Options struct {
 	SyncWrites bool
 }
 
-const defaultCacheBytes = 32 << 20
+const (
+	defaultCacheBytes = 32 << 20
+	// cacheShards stripes the row and block caches.
+	cacheShards = 16
+	// compactionParallelism bounds how many background tier merges run
+	// concurrently across the whole engine.
+	compactionParallelism = 2
+)
 
 func (o Options) withDefaults() Options {
 	if o.MemtableBytes <= 0 {
@@ -103,12 +104,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheBytes == 0 {
 		o.CacheBytes = defaultCacheBytes
-	}
-	if o.CacheShards <= 0 {
-		o.CacheShards = 16
-	}
-	if o.CompactionParallelism <= 0 {
-		o.CompactionParallelism = 2
 	}
 	return o
 }
@@ -141,13 +136,13 @@ func Open(opts Options) (*Engine, error) {
 	e := &Engine{
 		opts:       opts,
 		namespaces: make(map[string]*Namespace),
-		compactSem: make(chan struct{}, opts.CompactionParallelism),
+		compactSem: make(chan struct{}, compactionParallelism),
 	}
 	if opts.CacheBytes > 0 {
-		e.cache = NewCache(opts.CacheBytes, opts.CacheShards)
+		e.cache = NewCache(opts.CacheBytes, cacheShards)
 	}
 	if opts.BlockCacheBytes > 0 {
-		e.blockCache = NewBlockCache(opts.BlockCacheBytes, opts.CacheShards)
+		e.blockCache = NewBlockCache(opts.BlockCacheBytes, cacheShards)
 	}
 	if opts.Dir == "" {
 		return e, nil

@@ -726,13 +726,8 @@ func cloneBound(b []byte) []byte {
 	return append([]byte(nil), b...)
 }
 
-// Compact merges all SSTables into one, dropping tombstones.
-func (ns *Namespace) Compact() error {
-	ns.compactMu.Lock()
-	defer ns.compactMu.Unlock()
-	return ns.compactLocked()
-}
-
+// compactLocked merges all SSTables into one, dropping tombstones and
+// applying pending truncations. Callers hold compactMu.
 func (ns *Namespace) compactLocked() error {
 	// A major compaction consumes the whole stack; in-flight background
 	// tier merges would race the snapshot below, so stop and drain them
@@ -791,13 +786,6 @@ func (ns *Namespace) TableCount() int {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
 	return len(ns.tables)
-}
-
-// MemLen reports the number of entries in the active memtable.
-func (ns *Namespace) MemLen() int {
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	return ns.mem.Len()
 }
 
 func (ns *Namespace) tablePath(seq uint64) string {

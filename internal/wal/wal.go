@@ -10,20 +10,18 @@
 // in order and stops at the first torn frame, which a crashed append
 // can legitimately leave behind.
 //
-// The log offers three append disciplines, from cheapest to most
-// durable:
+// The log offers two append disciplines:
 //
-//   - Append / AppendBatch: buffered append, fsync'd only at flush
-//     boundaries (or per call when Options.SyncEveryAppend is set —
-//     the unbatched baseline).
-//   - AppendGroup: group commit. The record is appended without its
-//     own fsync, then the writer joins the current commit group via
-//     SyncGroup; one leader issues a single fsync on behalf of every
-//     writer waiting at that moment. Under concurrency this collapses
-//     N fsyncs into one while giving each writer the same durability
-//     guarantee as a private sync. This is the seam the storage
-//     engine's synchronous write path (storage.Options.SyncWrites)
-//     commits through.
+//   - Append / AppendBatch alone: buffered append, fsync'd only at
+//     flush boundaries (Rotate, Close). SCADS acknowledges on
+//     replication, not on fsync (§3.3.1), so this is the default.
+//   - Append / AppendBatch followed by SyncGroup: group commit. The
+//     writer joins the current commit group; one leader issues a
+//     single fsync on behalf of every writer waiting at that moment.
+//     Under concurrency this collapses N fsyncs into one while giving
+//     each writer the same durability guarantee as a private Sync.
+//     This is the seam the storage engine's synchronous write path
+//     (storage.Options.SyncWrites) commits through.
 //
 // AppendBatch writes a whole record group as one buffered write, which
 // the batched RPC apply path (rpc.MethodBatch, storage ApplyBatch)
@@ -52,19 +50,12 @@ type Options struct {
 	// SegmentBytes rolls to a new segment once the active one exceeds
 	// this size. Default 4 MiB.
 	SegmentBytes int64
-	// SyncEveryAppend forces an fsync after every append. Default
-	// false: SCADS acknowledges on replication, not on fsync, so the
-	// engine syncs on flush boundaries instead.
-	SyncEveryAppend bool
 }
 
 func (o *Options) withDefaults() Options {
 	out := Options{SegmentBytes: 4 << 20}
-	if o != nil {
-		if o.SegmentBytes > 0 {
-			out.SegmentBytes = o.SegmentBytes
-		}
-		out.SyncEveryAppend = o.SyncEveryAppend
+	if o != nil && o.SegmentBytes > 0 {
+		out.SegmentBytes = o.SegmentBytes
 	}
 	return out
 }
@@ -162,33 +153,20 @@ func Open(dir string, opts *Options) (*Log, []record.Record, error) {
 	return l, recovered, nil
 }
 
-// Append writes rec to the log, rolling segments as needed. With
-// Options.SyncEveryAppend it issues a private fsync per call — the
-// unbatched durable baseline; prefer AppendGroup under concurrency.
+// Append writes rec to the log, rolling segments as needed. The write
+// is buffered: follow it with Sync or SyncGroup to make it durable.
 func (l *Log) Append(rec record.Record) error {
-	return l.appendRecords([]record.Record{rec}, l.opts.SyncEveryAppend)
+	return l.appendRecords([]record.Record{rec})
 }
 
 // AppendBatch writes recs as a single buffered write (one syscall for
-// the whole group), rolling segments as needed. With
-// Options.SyncEveryAppend the batch is covered by one fsync. An empty
-// batch is a no-op.
+// the whole group), rolling segments as needed. An empty batch is a
+// no-op.
 func (l *Log) AppendBatch(recs []record.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	return l.appendRecords(recs, l.opts.SyncEveryAppend)
-}
-
-// AppendGroup appends rec and then makes it durable through the
-// group-commit path: the append itself is buffered, and the fsync is
-// shared with every other writer concurrently inside SyncGroup. When
-// AppendGroup returns nil the record is on stable storage.
-func (l *Log) AppendGroup(rec record.Record) error {
-	if err := l.appendRecords([]record.Record{rec}, false); err != nil {
-		return err
-	}
-	return l.SyncGroup()
+	return l.appendRecords(recs)
 }
 
 // encBufPool recycles per-record encode buffers across appends so the
@@ -198,7 +176,7 @@ var encBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-func (l *Log) appendRecords(recs []record.Record, sync bool) error {
+func (l *Log) appendRecords(recs []record.Record) error {
 	// Encode outside the lock: one pooled buffer per record, handed to
 	// a single vectored write below, so a batch costs one syscall and
 	// no concatenation copy.
@@ -227,12 +205,6 @@ func (l *Log) appendRecords(recs []record.Record, sync bool) error {
 	}
 	l.activeLen += int64(total)
 	l.appends.Add(int64(len(recs)))
-	if sync {
-		if err := l.active.Sync(); err != nil {
-			return fmt.Errorf("wal: sync: %w", err)
-		}
-		l.syncs.Add(1)
-	}
 	if l.activeLen >= l.opts.SegmentBytes {
 		return l.roll()
 	}

@@ -238,18 +238,6 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 }
 
-func TestSyncEveryAppend(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, &Options{SyncEveryAppend: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if err := l.Append(rec("k", "v", 1)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAppendBatchRecovery(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, nil)
@@ -286,9 +274,19 @@ func TestAppendBatchRecovery(t *testing.T) {
 	}
 }
 
+// commit appends r and makes it durable through group commit: the
+// AppendBatch + SyncGroup sequence storage's synchronous write path
+// runs.
+func commit(l *Log, r record.Record) error {
+	if err := l.AppendBatch([]record.Record{r}); err != nil {
+		return err
+	}
+	return l.SyncGroup()
+}
+
 // TestAppendGroupConcurrent drives many concurrent durable writers
-// through the group-commit path: every record must survive recovery
-// and the group accounting must balance.
+// through the group-commit path (AppendBatch + SyncGroup): every
+// record must survive recovery and the group accounting must balance.
 func TestAppendGroupConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, nil)
@@ -302,8 +300,8 @@ func TestAppendGroupConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if err := l.AppendGroup(rec(fmt.Sprintf("w%d-%03d", w, i), "v", uint64(w*perWriter+i+1))); err != nil {
-					t.Errorf("append group: %v", err)
+				if err := commit(l, rec(fmt.Sprintf("w%d-%03d", w, i), "v", uint64(w*perWriter+i+1))); err != nil {
+					t.Errorf("commit: %v", err)
 					return
 				}
 			}
@@ -356,7 +354,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 
 	leaderDone := make(chan error, 1)
-	go func() { leaderDone <- l.AppendGroup(rec("leader", "v", 1)) }()
+	go func() { leaderDone <- commit(l, rec("leader", "v", 1)) }()
 
 	// Wait until the leader is parked in the hook, then pile on
 	// followers and wait until they are all queued.
@@ -379,7 +377,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		// hook runs, so the queue is empty while it is parked.
 		for w := 0; w < followers; w++ {
 			go func(w int) {
-				followerDone <- l.AppendGroup(rec(fmt.Sprintf("f%d", w), "v", uint64(w+2)))
+				followerDone <- commit(l, rec(fmt.Sprintf("f%d", w), "v", uint64(w+2)))
 			}(w)
 		}
 	}()
@@ -416,8 +414,8 @@ func TestSyncGroupClosed(t *testing.T) {
 	if err := l.SyncGroup(); err != ErrClosed {
 		t.Fatalf("SyncGroup on closed log: %v, want ErrClosed", err)
 	}
-	if err := l.AppendGroup(rec("k", "v", 1)); err != ErrClosed {
-		t.Fatalf("AppendGroup on closed log: %v, want ErrClosed", err)
+	if err := commit(l, rec("k", "v", 1)); err != ErrClosed {
+		t.Fatalf("AppendBatch + SyncGroup on closed log: %v, want ErrClosed", err)
 	}
 }
 

@@ -113,7 +113,7 @@ func (c *Cluster) LoadSnapshot() []balancer.RangeObservation {
 // adding or removing capacity so new machines actually take load —
 // the data-movement half of "scaling up and down" (§1.1). Per-range
 // migrations run concurrently, bounded by the migration manager's
-// parallelism (Config.MigrationParallelism).
+// parallelism (migrationParallelism).
 func (c *Cluster) SpreadNamespace(namespace string) error {
 	m, ok := c.router.Map(namespace)
 	if !ok {

@@ -49,6 +49,16 @@ import (
 	"scads/internal/view"
 )
 
+const (
+	// defaultStaleness bounds replication lag for namespaces whose
+	// spec does not declare one.
+	defaultStaleness = 30 * time.Second
+	// migrationParallelism bounds how many range migrations run
+	// concurrently. Spreads and decommissions queue their per-range
+	// migrations against this bound.
+	migrationParallelism = 4
+)
+
 // Config configures a Cluster.
 type Config struct {
 	// Clock drives timestamps, staleness accounting and SLA windows.
@@ -60,42 +70,21 @@ type Config struct {
 	Directory *cluster.Directory
 	// ReplicationFactor is the number of replicas per range (default 1).
 	ReplicationFactor int
-	// DefaultStaleness bounds replication lag for namespaces whose
-	// spec does not declare one (default 30s).
-	DefaultStaleness time.Duration
 	// Analyzer bounds what queries are accepted.
 	Analyzer analyzer.Config
-	// ReplicationOrder selects the queue discipline (ByDeadline is
-	// the paper's design; FIFO exists for the E8 ablation).
-	ReplicationOrder replication.Order
 	// CoordinatorID disambiguates version stamps from this
 	// coordinator (16 bits).
 	CoordinatorID uint16
 	// SLA is the performance SLA the cluster-wide monitor checks.
 	SLA consistency.PerformanceSLA
-	// DisableBatching turns off transparent request coalescing. By
-	// default the coordinator wraps Transport in an rpc.Batcher, so
-	// concurrent requests to the same node share one round-trip
-	// (sequential requests pass through unwrapped and unchanged).
-	DisableBatching bool
 	// NodeStorage configures the storage engines of in-process nodes
 	// created by LocalCluster (read-cache size, synchronous writes,
 	// data directory, ...). Clock and NodeID are filled in per node.
 	// Ignored for clusters over remote nodes.
 	NodeStorage storage.Options
-	// MigrationParallelism bounds how many range migrations run
-	// concurrently (default 4). Spreads and decommissions queue their
-	// per-range migrations against this bound.
-	MigrationParallelism int
-	// ScanParallelism bounds how many per-range sub-scans one query
-	// fans out concurrently in the scatter-gather scan pipeline
-	// (default partition.DefaultScanParallelism). 1 makes scans visit
-	// overlapping ranges sequentially — the ablation baseline the
-	// scan benchmark compares against.
-	ScanParallelism int
 	// Repair tunes the self-healing crash-recovery loop (failure
 	// detector, primary failover, replication-factor repair). The loop
-	// runs whenever StartBackground is active unless Repair.Disabled;
+	// runs whenever StartBackground is active;
 	// RepairNow drives one sweep synchronously for deterministic tests
 	// and operator tooling.
 	Repair repair.Config
@@ -114,9 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReplicationFactor < 1 {
 		c.ReplicationFactor = 1
-	}
-	if c.DefaultStaleness <= 0 {
-		c.DefaultStaleness = 30 * time.Second
 	}
 	if c.SLA.Zero() {
 		c.SLA = consistency.PerformanceSLA{
@@ -142,7 +128,7 @@ type Cluster struct {
 	router     *partition.Router
 	dir        *cluster.Directory
 	pump       *replication.Pump
-	batcher    *rpc.Batcher // nil when batching disabled
+	batcher    *rpc.Batcher
 	migrations *migration.Manager
 	repairs    *repair.Manager
 
@@ -188,19 +174,14 @@ func Open(cfg Config) (*Cluster, error) {
 	// The router's transport is the request-coalescing seam: every
 	// hot-path read, write, and replication apply below this point
 	// shares round-trips with whatever else is in flight to the same
-	// node.
-	transport := cfg.Transport
-	var batcher *rpc.Batcher
-	if !cfg.DisableBatching {
-		batcher = rpc.NewBatcher(transport)
-		transport = batcher
-	}
+	// node (sequential requests pass through unchanged).
+	batcher := rpc.NewBatcher(cfg.Transport)
 	c := &Cluster{
 		cfg:        cfg,
 		clk:        cfg.Clock,
 		dir:        cfg.Directory,
 		batcher:    batcher,
-		router:     partition.NewRouter(transport, cfg.Directory),
+		router:     partition.NewRouter(batcher, cfg.Directory),
 		merges:     consistency.NewMergeRegistry(),
 		serializer: consistency.NewSerializer(1024),
 		monitor:    sla.NewMonitor(cfg.Clock, cfg.SLA, 0),
@@ -211,17 +192,13 @@ func Open(cfg Config) (*Cluster, error) {
 	admCfg := cfg.Admission
 	admCfg.Clock = cfg.Clock
 	c.admission = admission.New(admCfg)
-	if cfg.ScanParallelism > 0 {
-		c.router.SetScanParallelism(cfg.ScanParallelism)
-	}
-	// Online range migrations share the (possibly batching) transport
-	// with the router; MigrationParallelism bounds how many ranges move
-	// concurrently during spreads and decommissions. The router's maps
-	// back the manager's ownership checks, so a journaled teardown can
-	// never truncate a range its node has since regained.
-	c.migrations = migration.NewManager(transport, cfg.Directory, cfg.MigrationParallelism)
+	// Online range migrations share the batching transport with the
+	// router. The router's maps back the manager's ownership checks, so
+	// a journaled teardown can never truncate a range its node has
+	// since regained.
+	c.migrations = migration.NewManager(batcher, cfg.Directory, migrationParallelism)
 	c.migrations.Resolver = c.router.Map
-	queue := replication.NewQueue(cfg.ReplicationOrder)
+	queue := replication.NewQueue(replication.ByDeadline)
 	c.pump = replication.NewPump(queue, c.router.Apply, cfg.Clock)
 	// Flip-time rebind: while the donor's fence is still held, clone
 	// any replication update the fenced drain provably could not have
@@ -252,7 +229,7 @@ func Open(cfg Config) (*Cluster, error) {
 	// Directory.ExpireStale, primary failover, and RF repair through
 	// the migration manager. Runs under StartBackground; Sweep/
 	// RepairNow drives it deterministically.
-	c.repairs = repair.NewManager(cfg.Repair, cfg.Clock, cfg.Directory, transport,
+	c.repairs = repair.NewManager(cfg.Repair, cfg.Clock, cfg.Directory, batcher,
 		c.router, c.migrations, c.pump, cfg.ReplicationFactor)
 	return c, nil
 }
@@ -288,9 +265,7 @@ func (c *Cluster) StartBackground(replicationWorkers int) {
 		replicationWorkers = 2
 	}
 	c.pump.Run(replicationWorkers)
-	if !c.cfg.Repair.Disabled {
-		c.repairs.Run()
-	}
+	c.repairs.Run()
 	c.bgDone.Add(1)
 	go func() {
 		defer c.bgDone.Done()
@@ -463,7 +438,7 @@ func (c *Cluster) stalenessBound(table string) time.Duration {
 	if s := c.specFor(table).Staleness; s > 0 {
 		return s
 	}
-	return c.cfg.DefaultStaleness
+	return defaultStaleness
 }
 
 // record wraps an operation with SLA accounting.
@@ -476,7 +451,7 @@ type Stats struct {
 	Replication replication.Stats
 	Maintenance int // pending asynchronous index-maintenance tasks
 	SLA         sla.Summary
-	Batching    rpc.BatcherStats // request coalescing (zero when disabled)
+	Batching    rpc.BatcherStats // request coalescing
 	Migration   migration.Stats  // online range-migration activity
 	Repair      repair.Stats     // self-healing crash-recovery activity
 	Admission   admission.Stats  // front-door quotas / overload shedding
@@ -484,18 +459,15 @@ type Stats struct {
 
 // Stats returns a snapshot.
 func (c *Cluster) Stats() Stats {
-	s := Stats{
+	return Stats{
 		Replication: c.pump.Stats(),
 		Maintenance: c.maint.Len(),
 		SLA:         c.monitor.Summary(),
 		Migration:   c.migrations.Stats(),
 		Repair:      c.repairs.Stats(),
 		Admission:   c.admission.Stats(),
+		Batching:    c.batcher.Stats(),
 	}
-	if c.batcher != nil {
-		s.Batching = c.batcher.Stats()
-	}
-	return s
 }
 
 // Row is the public alias for a typed tuple.

@@ -476,7 +476,7 @@ func (c *Cluster) applyIndexMutation(ns string, key []byte, val row.Row) error {
 	if err != nil {
 		return err
 	}
-	c.enqueueReplication(ns, m, rec, rng.Replicas, c.cfg.DefaultStaleness)
+	c.enqueueReplication(ns, m, rec, rng.Replicas, defaultStaleness)
 	return nil
 }
 
